@@ -10,6 +10,7 @@
 #include "core/advantage.h"
 #include "core/generative_model.h"
 #include "core/majority_vote.h"
+#include "core/optimizer.h"
 #include "core/structure_learner.h"
 #include "lf/applier.h"
 #include "synth/relation_task.h"
@@ -116,6 +117,30 @@ void BM_StructureLearning(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StructureLearning)->Arg(1000)->Arg(4000);
+
+/// Algorithm 1 end to end on a real, sparse label matrix: the CDR train
+/// split (33 LFs, about 2 votes per row) repeats few distinct rows, which
+/// the structure learner fits once each. BM_StructureLearning's dense IID
+/// matrix has almost no repeats, so it cannot show that.
+void BM_OptimizerChooseCdr(benchmark::State& state) {
+  static const LabelMatrix* train = [] {
+    auto task = MakeCdrTask(42, 0.5);
+    auto matrix = LFApplier(LFApplier::Options{.num_threads = 0,
+                                               .cardinality = 2})
+                      .Apply(task->lfs, task->corpus, task->candidates);
+    return new LabelMatrix(matrix->SelectRows(task->train_idx));
+  }();
+  OptimizerOptions options;
+  options.eta = 0.05;
+  options.structure.epochs = 25;
+  options.structure.sweep_epochs = 10;
+  options.structure.max_rows = 4000;
+  ModelingStrategyOptimizer optimizer(options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(optimizer.Choose(*train).ok());
+  }
+}
+BENCHMARK(BM_OptimizerChooseCdr);
 
 /// The optimizer's Ã* heuristic is a single cheap pass over Λ.
 void BM_PredictedAdvantage(benchmark::State& state) {

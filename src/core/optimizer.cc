@@ -1,6 +1,7 @@
 #include "core/optimizer.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace snorkel {
 
@@ -22,8 +23,11 @@ Result<OptimizerDecision> ModelingStrategyOptimizer::Choose(
   if (matrix.cardinality() != 2) {
     return Status::InvalidArgument("optimizer supports binary matrices");
   }
-  if (options_.gamma < 0.0 || options_.eta <= 0.0 || options_.eta > 0.5) {
-    return Status::InvalidArgument("gamma must be >= 0 and eta in (0, 0.5]");
+  // Written so that NaN fails every comparison and is rejected.
+  if (!(std::isfinite(options_.gamma) && options_.gamma >= 0.0) ||
+      !(options_.eta > 0.0 && options_.eta <= 0.5)) {
+    return Status::InvalidArgument(
+        "gamma must be finite and >= 0, and eta in (0, 0.5]");
   }
 
   OptimizerDecision decision;

@@ -1,10 +1,10 @@
 #include "core/structure_learner.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <set>
+#include <cstdint>
 
+#include "util/hash.h"
 #include "util/math_util.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -13,31 +13,28 @@ namespace snorkel {
 
 namespace {
 
-/// Mutable optimization state for all n per-LF conditionals; kept across ε
-/// values during a warm-started sweep.
-struct ThetaState {
-  // pair_weights[j][k]: weight coupling Λ_j to Λ_k in LF j's conditional.
-  std::vector<std::vector<double>> pair_weights;
-  std::vector<double> acc;
-  std::vector<double> lab;
-
-  explicit ThetaState(size_t n)
-      : pair_weights(n, std::vector<double>(n, 0.0)),
-        acc(n, 1.0),
-        lab(n, 0.0) {}
-};
-
-/// Subsampled view of the label matrix with per-row vote counts. Rows are
-/// CSR spans into the (caller-owned) matrix — no copying.
+/// The subsampled label matrix compressed to its distinct rows. A pattern is
+/// a CSR span into the (caller-owned) matrix — no copying — kept in
+/// first-occurrence order with weight count / m, m the subsample size, so each
+/// gradient term is its per-row term times the pattern's multiplicity with the
+/// 1/m normalization folded in. Sparse matrices repeat few patterns: the CDR
+/// train split's 4000-row subsample holds about 500.
 struct Workset {
-  std::vector<LabelMatrix::RowSpan> rows;
-  std::vector<int> c_pos;
-  std::vector<int> c_neg;
+  std::vector<LabelMatrix::RowSpan> patterns;
+  std::vector<double> weights;
 };
+
+uint64_t HashRow(LabelMatrix::RowSpan row) {
+  uint64_t h = row.size();
+  for (const auto& e : row) {
+    h = HashCombine(h, (uint64_t{e.lf} << 32) | static_cast<uint32_t>(e.label));
+  }
+  // HashCombine leaves the low bits, which pick the slot, poorly mixed.
+  return SplitMix64(h).Next();
+}
 
 Workset BuildWorkset(const LabelMatrix& matrix, size_t max_rows,
                      uint64_t seed) {
-  Workset ws;
   size_t m = matrix.num_rows();
   std::vector<size_t> indices;
   if (m > max_rows) {
@@ -47,34 +44,95 @@ Workset BuildWorkset(const LabelMatrix& matrix, size_t max_rows,
     indices.resize(m);
     for (size_t i = 0; i < m; ++i) indices[i] = i;
   }
-  ws.rows.reserve(indices.size());
-  ws.c_pos.reserve(indices.size());
-  ws.c_neg.reserve(indices.size());
+
+  // Open-addressing dedup table of pattern ids, at most half full.
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  size_t capacity = 2;
+  while (capacity < 2 * indices.size()) capacity <<= 1;
+  std::vector<uint32_t> slots(capacity, kEmpty);
+  std::vector<uint64_t> hashes;  // per pattern
+  std::vector<size_t> counts;    // per pattern
+  Workset ws;
+  hashes.reserve(indices.size());
+  counts.reserve(indices.size());
+  ws.patterns.reserve(indices.size());
   for (size_t i : indices) {
     LabelMatrix::RowSpan row = matrix.row(i);
+    const uint64_t h = HashRow(row);
+    size_t slot = h & (capacity - 1);
+    for (; slots[slot] != kEmpty; slot = (slot + 1) & (capacity - 1)) {
+      const LabelMatrix::RowSpan& seen = ws.patterns[slots[slot]];
+      if (hashes[slots[slot]] == h &&
+          std::equal(row.begin(), row.end(), seen.begin(), seen.end())) {
+        break;
+      }
+    }
+    if (slots[slot] == kEmpty) {
+      slots[slot] = static_cast<uint32_t>(ws.patterns.size());
+      ws.patterns.push_back(row);
+      hashes.push_back(h);
+      counts.push_back(0);
+    }
+    ++counts[slots[slot]];
+  }
+
+  const double total = static_cast<double>(indices.size());
+  ws.weights.reserve(counts.size());
+  for (size_t count : counts) {
+    ws.weights.push_back(static_cast<double>(count) / total);
+  }
+  return ws;
+}
+
+/// What LF j's conditional needs of each pattern that does not depend on θ:
+/// the slot of LF j's own vote (0 = abstain, 1 = +1, 2 = -1) and the pilot
+/// posterior π(y = +1 | Λ_{\j}), which excludes that vote.
+struct LfView {
+  std::vector<int> obs_idx;
+  std::vector<double> pi_pos;
+};
+
+LfView ViewForLf(const Workset& ws, size_t j, double mean_acc_weight) {
+  LfView view;
+  view.obs_idx.reserve(ws.patterns.size());
+  view.pi_pos.reserve(ws.patterns.size());
+  for (const auto& row : ws.patterns) {
+    Label obs = kAbstain;
     int cp = 0;
     int cn = 0;
     for (const auto& e : row) {
-      if (e.label > 0) {
+      if (e.lf == j) {
+        obs = e.label;
+      } else if (e.label > 0) {
         ++cp;
       } else {
         ++cn;
       }
     }
-    ws.rows.push_back(row);
-    ws.c_pos.push_back(cp);
-    ws.c_neg.push_back(cn);
+    view.obs_idx.push_back(obs == kAbstain ? 0 : (obs > 0 ? 1 : 2));
+    view.pi_pos.push_back(
+        Sigmoid(mean_acc_weight * static_cast<double>(cp - cn)));
   }
-  return ws;
+  return view;
 }
+
+/// Optimization state of one LF's conditional; kept across ε values during a
+/// warm-started sweep.
+struct Conditional {
+  // theta[k]: weight coupling Λ_j to Λ_k (theta[j] stays 0).
+  std::vector<double> theta;
+  double acc = 1.0;
+  double lab = 0.0;
+
+  explicit Conditional(size_t n) : theta(n, 0.0) {}
+};
 
 /// Runs `epochs` proximal-gradient epochs on LF j's conditional
 /// p(Λ_j | Λ_{\j}) with ℓ1 penalty `epsilon` on the pair weights.
-void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
-                    int epochs, double lr, double mean_acc_weight,
-                    ThetaState* state) {
-  std::vector<double>& theta = state->pair_weights[j];
-  double m = static_cast<double>(ws.rows.size());
+void FitConditional(const Workset& ws, const LfView& view, size_t j,
+                    double epsilon, int epochs, double lr, Conditional* cond) {
+  std::vector<double>& theta = cond->theta;
+  const size_t n = theta.size();
   std::vector<double> grad(n, 0.0);
 
   for (int epoch = 0; epoch < epochs; ++epoch) {
@@ -87,17 +145,13 @@ void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
       if (k != j) theta_total += theta[k];
     }
 
-    for (size_t i = 0; i < ws.rows.size(); ++i) {
-      const auto& row = ws.rows[i];
-      Label obs = kAbstain;
+    for (size_t p = 0; p < ws.patterns.size(); ++p) {
+      const auto& row = ws.patterns[p];
       double t_pos = 0.0;
       double t_neg = 0.0;
       double sum_entries = 0.0;
       for (const auto& e : row) {
-        if (e.lf == j) {
-          obs = e.label;
-          continue;
-        }
+        if (e.lf == j) continue;
         sum_entries += theta[e.lf];
         if (e.label > 0) {
           t_pos += theta[e.lf];
@@ -106,22 +160,18 @@ void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
         }
       }
       double t_abstain = theta_total - sum_entries;
-
-      // Pilot posterior over the latent label, excluding LF j's own vote.
-      int cp = ws.c_pos[i] - (obs > 0 ? 1 : 0);
-      int cn = ws.c_neg[i] - (obs < 0 ? 1 : 0);
-      double pi_pos = Sigmoid(mean_acc_weight * static_cast<double>(cp - cn));
+      const int obs_idx = view.obs_idx[p];
+      const double pi_pos = view.pi_pos[p];
 
       // q(λ | y) for y in {+1, -1}, λ ordered [abstain, +1, -1].
       double q[2][3];
       double r[2];
-      int obs_idx = obs == kAbstain ? 0 : (obs > 0 ? 1 : 2);
       for (int yi = 0; yi < 2; ++yi) {
-        double acc_pos = yi == 0 ? state->acc[j] : 0.0;
-        double acc_neg = yi == 0 ? 0.0 : state->acc[j];
+        double acc_pos = yi == 0 ? cond->acc : 0.0;
+        double acc_neg = yi == 0 ? 0.0 : cond->acc;
         double s0 = t_abstain;
-        double sp = state->lab[j] + acc_pos + t_pos;
-        double sn = state->lab[j] + acc_neg + t_neg;
+        double sp = cond->lab + acc_pos + t_pos;
+        double sn = cond->lab + acc_neg + t_neg;
         double hi = std::max({s0, sp, sn});
         double e0 = std::exp(s0 - hi);
         double ep = std::exp(sp - hi);
@@ -134,8 +184,10 @@ void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
       }
       double rz = r[0] + r[1];
       if (rz <= 0.0) continue;
-      r[0] /= rz;
-      r[1] /= rz;
+      // Normalize the posterior and weight the pattern in one scale.
+      double scale = ws.weights[p] / rz;
+      r[0] *= scale;
+      r[1] *= scale;
 
       // G_{λ'} = Σ_y r(y) [1{obs = λ'} - q(λ' | y)] for λ' in the 3 slots.
       double g[3];
@@ -150,49 +202,67 @@ void FitConditional(const Workset& ws, size_t n, size_t j, double epsilon,
         grad[e.lf] += g[s] - g[0];
       }
       // Accuracy factor fires when λ = y; the propensity factor when λ != ∅.
-      grad_acc += r[0] * ((obs > 0 ? 1.0 : 0.0) - q[0][1]) +
-                  r[1] * ((obs < 0 ? 1.0 : 0.0) - q[1][2]);
-      grad_lab += r[0] * ((obs != kAbstain ? 1.0 : 0.0) - (1.0 - q[0][0])) +
-                  r[1] * ((obs != kAbstain ? 1.0 : 0.0) - (1.0 - q[1][0]));
+      grad_acc += r[0] * ((obs_idx == 1 ? 1.0 : 0.0) - q[0][1]) +
+                  r[1] * ((obs_idx == 2 ? 1.0 : 0.0) - q[1][2]);
+      grad_lab += r[0] * ((obs_idx != 0 ? 1.0 : 0.0) - (1.0 - q[0][0])) +
+                  r[1] * ((obs_idx != 0 ? 1.0 : 0.0) - (1.0 - q[1][0]));
     }
 
     for (size_t k = 0; k < n; ++k) {
       if (k == j) continue;
-      double step = lr * (grad[k] + grad_base) / m;
+      double step = lr * (grad[k] + grad_base);
       theta[k] = SoftThreshold(theta[k] + step, lr * epsilon);
       theta[k] = Clip(theta[k], -4.0, 4.0);
     }
-    state->acc[j] = Clip(state->acc[j] + lr * grad_acc / m, -4.0, 4.0);
-    state->lab[j] = Clip(state->lab[j] + lr * grad_lab / m, -6.0, 6.0);
+    cond->acc = Clip(cond->acc + lr * grad_acc, -4.0, 4.0);
+    cond->lab = Clip(cond->lab + lr * grad_lab, -6.0, 6.0);
   }
 }
 
-/// Fits all n per-LF conditionals concurrently. Each conditional is an
-/// independent regression writing only its own slice of `state`
-/// (pair_weights[j], acc[j], lab[j]), so the schedule cannot affect the
-/// result — the paper's "n independent pseudolikelihood problems" structure
-/// made literal.
-void FitAllConditionals(const Workset& ws, size_t n, double epsilon,
-                        int epochs, double lr, double mean_acc_weight,
-                        int num_threads, ThetaState* state) {
-  ScopedPool pool(num_threads);
+/// Fits all n per-LF conditionals along `epsilons` (descending), warm-starting
+/// each ε from the one before: `first_epochs` at the first ε, sweep_epochs at
+/// the rest. Returns one row-major n×n pair-weight matrix per ε. Each LF is
+/// one pool task that walks the whole ε path; it reads the shared workset and
+/// writes only its own Conditional and its own row of each record, so the
+/// schedule cannot affect the result — the paper's "n independent
+/// pseudolikelihood problems" structure made literal.
+std::vector<std::vector<double>> FitPath(const Workset& ws, size_t n,
+                                         const std::vector<double>& epsilons,
+                                         int first_epochs,
+                                         const StructureLearnerOptions& opts) {
+  std::vector<std::vector<double>> records(epsilons.size(),
+                                           std::vector<double>(n * n, 0.0));
+  ScopedPool pool(opts.num_threads);
   pool->ParallelFor(0, n, [&](size_t j) {
-    FitConditional(ws, n, j, epsilon, epochs, lr, mean_acc_weight, state);
+    const LfView view = ViewForLf(ws, j, opts.mean_acc_weight);
+    Conditional cond(n);
+    for (size_t e = 0; e < epsilons.size(); ++e) {
+      FitConditional(ws, view, j, epsilons[e],
+                     e == 0 ? first_epochs : opts.sweep_epochs,
+                     opts.learning_rate, &cond);
+      std::copy(cond.theta.begin(), cond.theta.end(),
+                records[e].begin() + static_cast<std::ptrdiff_t>(j * n));
+    }
   });
+  return records;
 }
 
-std::vector<CorrelationPair> SelectPairs(const ThetaState& state, size_t n,
-                                         double epsilon) {
+std::vector<CorrelationPair> SelectPairs(const std::vector<double>& weights,
+                                         size_t n, double epsilon) {
   std::vector<CorrelationPair> selected;
   for (size_t j = 0; j < n; ++j) {
     for (size_t k = j + 1; k < n; ++k) {
-      if (std::fabs(state.pair_weights[j][k]) >= epsilon ||
-          std::fabs(state.pair_weights[k][j]) >= epsilon) {
+      if (std::fabs(weights[j * n + k]) >= epsilon ||
+          std::fabs(weights[k * n + j]) >= epsilon) {
         selected.push_back(CorrelationPair{j, k});
       }
     }
   }
   return selected;
+}
+
+bool ValidEpsilon(double epsilon) {
+  return std::isfinite(epsilon) && epsilon > 0.0;
 }
 
 }  // namespace
@@ -211,17 +281,15 @@ Result<std::vector<CorrelationPair>> StructureLearner::LearnStructure(
     return Status::InvalidArgument(
         "structure learning supports binary matrices");
   }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!ValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   size_t n = matrix.num_lfs();
   if (n < 2) return std::vector<CorrelationPair>{};
 
   Workset ws = BuildWorkset(matrix, options_.max_rows, options_.seed);
-  ThetaState state(n);
-  FitAllConditionals(ws, n, epsilon, options_.epochs, options_.learning_rate,
-                     options_.mean_acc_weight, options_.num_threads, &state);
-  return SelectPairs(state, n, epsilon);
+  auto records = FitPath(ws, n, {epsilon}, options_.epochs, options_);
+  return SelectPairs(records[0], n, epsilon);
 }
 
 Result<std::vector<StructureSweepPoint>> StructureLearner::Sweep(
@@ -231,8 +299,9 @@ Result<std::vector<StructureSweepPoint>> StructureLearner::Sweep(
         "structure learning supports binary matrices");
   }
   for (double eps : epsilons) {
-    if (eps <= 0.0) {
-      return Status::InvalidArgument("epsilon values must be positive");
+    if (!ValidEpsilon(eps)) {
+      return Status::InvalidArgument(
+          "epsilon values must be positive and finite");
     }
   }
   size_t n = matrix.num_lfs();
@@ -247,14 +316,9 @@ Result<std::vector<StructureSweepPoint>> StructureLearner::Sweep(
   }
 
   Workset ws = BuildWorkset(matrix, options_.max_rows, options_.seed);
-  ThetaState state(n);
-  bool first = true;
-  for (double eps : sorted) {
-    int epochs = first ? options_.epochs : options_.sweep_epochs;
-    first = false;
-    FitAllConditionals(ws, n, eps, epochs, options_.learning_rate,
-                       options_.mean_acc_weight, options_.num_threads, &state);
-    sweep.push_back({eps, SelectPairs(state, n, eps).size()});
+  auto records = FitPath(ws, n, sorted, options_.epochs, options_);
+  for (size_t e = 0; e < sorted.size(); ++e) {
+    sweep.push_back({sorted[e], SelectPairs(records[e], n, sorted[e]).size()});
   }
   return sweep;
 }

@@ -29,9 +29,9 @@ struct StructureLearnerOptions {
   /// 15 s for 100 LFs x 10k points vs 45 min for full MLE).
   size_t max_rows = 8000;
   /// Worker threads for the per-LF conditional fits, which are independent
-  /// regressions and run concurrently: 0 uses the process-wide
-  /// SharedThreadPool. Each LF's conditional touches only its own slice of
-  /// the optimization state, so results are identical for any value.
+  /// regressions and run as one pool task per LF: 0 uses the process-wide
+  /// SharedThreadPool. Each LF's conditional touches only its own
+  /// optimization state, so results are identical for any value.
   int num_threads = 0;
   uint64_t seed = 42;
 };
@@ -55,6 +55,15 @@ struct StructureSweepPoint {
 /// penalty ε on the θ_k is applied with proximal (ISTA) updates; gradients
 /// are exact (no sampling). A pair (j,k) is selected when either direction's
 /// learned weight reaches ε in absolute value.
+///
+/// The gradients run over the distinct rows ("label patterns") of the
+/// subsampled matrix rather than over every row: rows are deduplicated by
+/// hash in first-occurrence order, and each pattern's gradient term is
+/// weighted by its count / m (m the subsample size). Sparse LF sets repeat
+/// few patterns — the CDR train split's 4000-row subsample holds about 500 —
+/// and a matrix whose rows all repeat k times fits exactly like the matrix
+/// itself. The θ-independent parts of each row (LF j's own vote and the pilot
+/// posterior π) are computed once per LF, not once per epoch.
 class StructureLearner {
  public:
   explicit StructureLearner(StructureLearnerOptions options = {});
@@ -63,13 +72,21 @@ class StructureLearner {
   Result<std::vector<CorrelationPair>> LearnStructure(
       const LabelMatrix& matrix) const;
 
-  /// Learns the correlation set C at the given ε.
+  /// Learns the correlation set C at the given ε (positive and finite), cold:
+  /// options().epochs from the initial weights.
   Result<std::vector<CorrelationPair>> LearnStructure(const LabelMatrix& matrix,
                                                       double epsilon) const;
 
   /// Runs the ε search over `epsilons` (any order; processed from largest to
   /// smallest with warm starts, which matches the paper's early-termination
   /// trick) and returns one sweep point per ε, ordered by descending ε.
+  ///
+  /// The schedule is one pool task per LF: task j walks the whole ε path on
+  /// LF j's conditional (options().epochs at the largest ε, sweep_epochs at
+  /// each next one, warm-started) and records its row of pair weights per ε.
+  /// The per-ε correlation counts are read from those records afterwards, so
+  /// the sweep waits on the pool once rather than once per ε. Every ε must be
+  /// positive and finite.
   Result<std::vector<StructureSweepPoint>> Sweep(
       const LabelMatrix& matrix, const std::vector<double>& epsilons) const;
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "lf/applier.h"
+#include "synth/relation_task.h"
 #include "synth/synthetic_matrix.h"
 
 namespace snorkel {
@@ -32,6 +36,56 @@ TEST(OptimizerTest, RejectsBadHyperparameters) {
   bad = FastOptions();
   bad.gamma = -1.0;
   EXPECT_FALSE(ModelingStrategyOptimizer(bad).Choose(data->matrix).ok());
+}
+
+TEST(OptimizerTest, RejectsNonFiniteHyperparameters) {
+  auto data = SyntheticMatrixGenerator::GenerateIid(100, 3, 0.8, 0.5, 1);
+  ASSERT_TRUE(data.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double eta : {nan, inf}) {
+    OptimizerOptions bad = FastOptions();
+    bad.eta = eta;
+    EXPECT_EQ(ModelingStrategyOptimizer(bad).Choose(data->matrix)
+                  .status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (double gamma : {nan, inf}) {
+    OptimizerOptions bad = FastOptions();
+    bad.gamma = gamma;
+    EXPECT_EQ(ModelingStrategyOptimizer(bad).Choose(data->matrix)
+                  .status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(OptimizerTest, CdrDecisionIsPinned) {
+  // The CDR train split at the benchmark's Algorithm 1 settings. The values
+  // below are the per-row structure learner's; fitting each distinct row
+  // once, weighted by its count, must reproduce them exactly.
+  auto task = MakeCdrTask(1, 0.5);
+  ASSERT_TRUE(task.ok());
+  auto matrix = LFApplier(LFApplier::Options{.num_threads = 2,
+                                             .cardinality = 2})
+                    .Apply(task->lfs, task->corpus, task->candidates);
+  ASSERT_TRUE(matrix.ok());
+  const LabelMatrix train = matrix->SelectRows(task->train_idx);
+
+  OptimizerOptions options;
+  options.eta = 0.05;
+  options.structure.epochs = 25;
+  options.structure.sweep_epochs = 10;
+  options.structure.max_rows = 4000;
+  auto decision = ModelingStrategyOptimizer(options).Choose(train);
+  ASSERT_TRUE(decision.ok());
+  ASSERT_EQ(decision->strategy, ModelingStrategy::kGenerativeModel);
+  std::vector<size_t> counts;
+  for (const auto& point : decision->sweep) {
+    counts.push_back(point.num_correlations);
+  }
+  EXPECT_EQ(counts, (std::vector<size_t>{0, 0, 0, 0, 0, 0, 0, 0, 2, 23}));
+  EXPECT_NEAR(decision->chosen_epsilon, 0.15, 1e-12);
+  EXPECT_EQ(decision->correlations.size(), 15u);
 }
 
 TEST(OptimizerTest, SingleLfChoosesMajorityVote) {

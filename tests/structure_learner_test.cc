@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "synth/synthetic_matrix.h"
@@ -29,6 +32,22 @@ TEST(StructureLearnerTest, RejectsNonPositiveEpsilon) {
   StructureLearner learner;
   EXPECT_FALSE(learner.LearnStructure(data->matrix, 0.0).ok());
   EXPECT_FALSE(learner.LearnStructure(data->matrix, -0.1).ok());
+}
+
+TEST(StructureLearnerTest, RejectsNonFiniteEpsilon) {
+  auto data = SyntheticMatrixGenerator::GenerateIid(100, 3, 0.8, 0.5, 1);
+  ASSERT_TRUE(data.ok());
+  StructureLearner learner;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(learner.LearnStructure(data->matrix, nan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(learner.LearnStructure(data->matrix, inf).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(learner.Sweep(data->matrix, {0.2, nan, 0.1}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(learner.Sweep(data->matrix, {inf, 0.1}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(StructureLearnerTest, SingleLfYieldsNoPairs) {
@@ -142,6 +161,78 @@ TEST(StructureLearnerTest, DeterministicGivenSeed) {
   auto b = learner.LearnStructure(data->matrix, 0.15);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(AsSet(*a), AsSet(*b));
+}
+
+TEST(StructureLearnerTest, SweepAndLearnIdenticalAcrossThreadCounts) {
+  auto data = SyntheticMatrixGenerator::GenerateClustered(
+      2000, 2, 3, 4, 0.75, 0.5, 0.8, 9);
+  ASSERT_TRUE(data.ok());
+  const std::vector<double> grid = {0.4, 0.3, 0.2, 0.15, 0.1, 0.05};
+  std::vector<std::vector<StructureSweepPoint>> sweeps;
+  std::vector<std::vector<CorrelationPair>> pairs;
+  for (int threads : {1, 2, 4}) {
+    StructureLearnerOptions options;
+    options.num_threads = threads;
+    options.max_rows = 1200;  // Exercises the subsample as well.
+    StructureLearner learner(options);
+    auto sweep = learner.Sweep(data->matrix, grid);
+    auto learned = learner.LearnStructure(data->matrix, 0.1);
+    ASSERT_TRUE(sweep.ok() && learned.ok());
+    sweeps.push_back(*sweep);
+    pairs.push_back(*learned);
+  }
+  for (size_t t = 1; t < sweeps.size(); ++t) {
+    ASSERT_EQ(sweeps[t].size(), sweeps[0].size());
+    for (size_t i = 0; i < sweeps[0].size(); ++i) {
+      EXPECT_EQ(sweeps[t][i].epsilon, sweeps[0][i].epsilon);
+      EXPECT_EQ(sweeps[t][i].num_correlations, sweeps[0][i].num_correlations);
+    }
+    ASSERT_EQ(pairs[t].size(), pairs[0].size());
+    for (size_t i = 0; i < pairs[0].size(); ++i) {
+      EXPECT_EQ(pairs[t][i].j, pairs[0][i].j);
+      EXPECT_EQ(pairs[t][i].k, pairs[0][i].k);
+    }
+  }
+}
+
+TEST(StructureLearnerTest, RepeatedRowsFitLikeTheirPatterns) {
+  // Repeating every row 3x (the copies interleaved, not adjacent) changes
+  // each distinct row's count but not its share of the rows, so the
+  // count-weighted fit must make the same decisions.
+  auto data = SyntheticMatrixGenerator::GenerateClustered(
+      800, 2, 3, 4, 0.75, 0.5, 0.9, 10);
+  ASSERT_TRUE(data.ok());
+  const LabelMatrix& once = data->matrix;
+  std::vector<size_t> order(once.num_rows());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::vector<size_t> thrice;
+  for (int copy = 0; copy < 3; ++copy) {
+    thrice.insert(thrice.end(), order.begin(), order.end());
+  }
+  const LabelMatrix repeated = once.SelectRows(thrice);
+  ASSERT_EQ(repeated.num_rows(), 3 * once.num_rows());
+
+  StructureLearner learner;  // max_rows 8000: neither matrix is subsampled.
+  const std::vector<double> grid = {0.4, 0.3, 0.2, 0.15, 0.1, 0.05};
+  auto sweep_once = learner.Sweep(once, grid);
+  auto sweep_thrice = learner.Sweep(repeated, grid);
+  ASSERT_TRUE(sweep_once.ok() && sweep_thrice.ok());
+  ASSERT_EQ(sweep_once->size(), sweep_thrice->size());
+  size_t total = 0;
+  for (size_t i = 0; i < sweep_once->size(); ++i) {
+    EXPECT_EQ((*sweep_once)[i].num_correlations,
+              (*sweep_thrice)[i].num_correlations);
+    total += (*sweep_once)[i].num_correlations;
+  }
+  EXPECT_GT(total, 0u);
+
+  for (double eps : {0.2, 0.1}) {
+    auto a = learner.LearnStructure(once, eps);
+    auto b = learner.LearnStructure(repeated, eps);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_FALSE(a->empty());
+    EXPECT_EQ(AsSet(*a), AsSet(*b));
+  }
 }
 
 }  // namespace
