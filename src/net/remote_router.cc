@@ -1,22 +1,18 @@
 #include "net/remote_router.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <thread>
-#include <tuple>
 #include <utility>
 
-#include "lf/applier.h"
 #include "net/placement.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "shard/partitioner.h"
+#include "shard/routing_core.h"
+#include "util/cancellation.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace snorkel {
 
@@ -61,75 +57,155 @@ bool RetrySafe(StatusCode code, SocketDeadline overall_deadline) {
 
 struct RemoteShardRouter::Impl {
   Options options;
-  CandidatePartitioner partitioner;
+  /// Validation, partitioning, failure policy, merge and request counters.
+  RoutingCore core;
   ShardPlacement placement;
   RetryBudget budget;
   std::vector<RemoteShardClient> clients;
 
-  mutable std::mutex stats_mu;
-  uint64_t num_requests = 0;
-  uint64_t num_candidates = 0;
-  uint64_t failed_requests = 0;
-  uint64_t degraded_requests = 0;
-  std::atomic<uint64_t> failovers{0};
-  std::atomic<uint64_t> breaker_open_rejections{0};
-
+  std::shared_ptr<obs::Counter> failovers;
+  std::shared_ptr<obs::Counter> breaker_open_rejections;
   /// End-to-end Label() latency; lock-free Observe on the request path.
   std::shared_ptr<obs::Histogram> latency_hist;
-  std::vector<uint64_t> metric_tokens;
+  uint64_t budget_token = 0;
 
   Impl(Options opts, size_t num_shards)
       : options(std::move(opts)),
-        partitioner(num_shards),
+        core(RoutingCore::Config{
+            num_shards, /*cardinality=*/2, /*num_lfs=*/0,
+            "snorkel_remote_router_requests_total",
+            "snorkel_remote_router_candidates_total",
+            "snorkel_remote_router_failed_requests_total",
+            "snorkel_remote_router_degraded_requests_total",
+            /*rejected_metric=*/nullptr, "router.placement"}),
         placement(num_shards, options.replication),
         budget(options.retry_budget) {
     obs::RegisterCommonProcessMetrics();
     auto& registry = obs::MetricsRegistry::Default();
     latency_hist = registry.CreateHistogram("snorkel_remote_router_latency_ms",
                                             obs::LatencyBucketsMs());
-    // Counters that live under stats_mu export through callbacks; the
-    // registry runs them at Collect() time, where taking the mutex is fine.
-    auto locked_counter = [this](uint64_t Impl::*member) {
-      return [this, member]() {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        return static_cast<double>(this->*member);
-      };
-    };
-    metric_tokens.push_back(registry.RegisterCallback(
-        "snorkel_remote_router_requests_total", obs::MetricType::kCounter,
-        locked_counter(&Impl::num_requests)));
-    metric_tokens.push_back(registry.RegisterCallback(
-        "snorkel_remote_router_candidates_total", obs::MetricType::kCounter,
-        locked_counter(&Impl::num_candidates)));
-    metric_tokens.push_back(registry.RegisterCallback(
-        "snorkel_remote_router_failed_requests_total",
-        obs::MetricType::kCounter, locked_counter(&Impl::failed_requests)));
-    metric_tokens.push_back(registry.RegisterCallback(
-        "snorkel_remote_router_degraded_requests_total",
-        obs::MetricType::kCounter, locked_counter(&Impl::degraded_requests)));
-    metric_tokens.push_back(registry.RegisterCallback(
-        "snorkel_remote_router_failovers_total", obs::MetricType::kCounter,
-        [this] {
-          return static_cast<double>(
-              failovers.load(std::memory_order_relaxed));
-        }));
-    metric_tokens.push_back(registry.RegisterCallback(
-        "snorkel_remote_router_breaker_open_rejections_total",
-        obs::MetricType::kCounter, [this] {
-          return static_cast<double>(
-              breaker_open_rejections.load(std::memory_order_relaxed));
-        }));
-    metric_tokens.push_back(registry.RegisterCallback(
+    failovers =
+        registry.CreateCounter("snorkel_remote_router_failovers_total");
+    breaker_open_rejections = registry.CreateCounter(
+        "snorkel_remote_router_breaker_open_rejections_total");
+    budget_token = registry.RegisterCallback(
         "snorkel_remote_router_retry_budget_exhausted_total",
         obs::MetricType::kCounter,
-        [this] { return static_cast<double>(budget.exhausted()); }));
+        [this] { return static_cast<double>(budget.exhausted()); });
   }
 
   ~Impl() {
-    // UnregisterCallback is a barrier: after it returns no callback can be
-    // mid-run, so the `this` they capture is safe to destroy.
-    auto& registry = obs::MetricsRegistry::Default();
-    for (uint64_t token : metric_tokens) registry.UnregisterCallback(token);
+    // UnregisterCallback is a barrier: after it returns the callback cannot
+    // be mid-run, so the `this` it captures is safe to destroy.
+    obs::MetricsRegistry::Default().UnregisterCallback(budget_token);
+  }
+
+  /// The remote backend: one failover chain per sub-batch, concurrently.
+  /// Each sub-batch is written by exactly one thread, then joined before
+  /// the core reads it.
+  Status FanOut(const LabelRequest& request, std::vector<SubBatch>& batches) {
+    // Budget refill: one deposit per router request, however many shards
+    // it fans out to (amplification is bounded relative to offered load).
+    budget.OnRequest();
+    // Fan-out threads inherit the request's identity with the root span as
+    // parent, so each attempt chain nests under router.request.
+    const obs::TraceContext fan_ctx = obs::CurrentTraceContext();
+    std::vector<std::thread> rpcs;
+    rpcs.reserve(batches.size());
+    for (SubBatch& batch : batches) {
+      rpcs.emplace_back([this, &request, &batch, fan_ctx] {
+        obs::ScopedTraceContext rpc_scope(fan_ctx);
+        ServeWithFailover(request, batch);
+        obs::FlushThreadSpans();
+      });
+    }
+    for (std::thread& rpc : rpcs) rpc.join();
+    return Status::OK();
+  }
+
+  /// Walks `batch`'s replica preference list until an attempt succeeds or
+  /// a failure is not retry-safe, recording the attempt chain.
+  void ServeWithFailover(const LabelRequest& request, SubBatch& batch) {
+    const std::vector<uint32_t>& prefs = placement.Preferences(batch.shard);
+    SocketDeadline overall = options.request_timeout_ms > 0
+                                 ? DeadlineAfterMs(options.request_timeout_ms)
+                                 : kNoDeadline;
+    // The request's token caps the overall budget; its deadline crosses
+    // the wire with every attempt. A manual Cancel() does not.
+    if (request.cancel != nullptr) {
+      overall = std::min(overall, request.cancel->deadline());
+    }
+    // Did the previous attempt actually dispatch work? A breaker fail-fast
+    // did not — failing over from it is free (no budget, no backoff), so a
+    // steady outage of <= R-1 replicas costs nothing once the breakers
+    // open.
+    bool prev_dispatched = false;
+    uint64_t prev_retry_after_ms = 0;
+    for (size_t attempt = 0; attempt < prefs.size(); ++attempt) {
+      if (attempt > 0 && prev_dispatched) {
+        if (!budget.TryConsume()) {
+          const Status& last = batch.result.status();
+          batch.result =
+              Status(last.code(), last.message() + " [retry budget exhausted]");
+          break;
+        }
+        uint64_t delay = BackoffDelayMs(options.backoff, batch.shard,
+                                        static_cast<uint32_t>(attempt));
+        // An overloaded replica's retry_after hint floors the backoff:
+        // under fleet-wide overload the next replica is unlikely to be
+        // better off, and honoring the hint is what keeps a retrying router
+        // from amplifying the surge it was just shed from.
+        delay = std::max(delay, prev_retry_after_ms);
+        if (overall != kNoDeadline) {
+          delay = std::min(delay, RemainingMs(overall));
+        }
+        if (delay > 0) {
+          obs::TraceSpan backoff_span("router.backoff");
+          backoff_span.Annotate("shard=" + std::to_string(batch.shard) +
+                                " delay_ms=" + std::to_string(delay));
+          std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+        }
+      }
+      uint64_t attempt_budget_ms = options.request_timeout_ms;
+      if (overall != kNoDeadline) {
+        attempt_budget_ms = RemainingMs(overall);
+        if (attempt_budget_ms == 0) {
+          batch.result = Status::DeadlineExceeded(
+              "request budget spent before replica " +
+              std::to_string(prefs[attempt]) + " could be tried");
+          break;
+        }
+      }
+      const size_t endpoint = prefs[attempt];
+      bool failed_fast = false;
+      uint64_t retry_after_ms = 0;
+      {
+        obs::TraceSpan attempt_span("router.attempt");
+        batch.result = clients[endpoint].Label(
+            *request.corpus, *batch.rows, request.include_votes,
+            request.apply_class_balance, attempt_budget_ms, &failed_fast,
+            &retry_after_ms);
+        attempt_span.Annotate(
+            "shard=" + std::to_string(batch.shard) +
+            " endpoint=" + std::to_string(endpoint) + " status=" +
+            (batch.result.ok()
+                 ? std::string("ok")
+                 : std::to_string(
+                       static_cast<int>(batch.result.status().code()))));
+      }
+      batch.attempts.push_back(ShardAttempt{
+          endpoint,
+          batch.result.ok() ? StatusCode::kOk : batch.result.status().code(),
+          batch.result.ok() ? std::string() : batch.result.status().message()});
+      if (batch.result.ok()) {
+        if (attempt > 0) failovers->Increment();
+        return;
+      }
+      if (failed_fast) breaker_open_rejections->Increment();
+      prev_dispatched = !failed_fast;
+      prev_retry_after_ms = retry_after_ms;
+      if (!RetrySafe(batch.result.status().code(), overall)) return;
+    }
   }
 };
 
@@ -165,16 +241,6 @@ Result<RemoteShardRouter> RemoteShardRouter::Create(
 
 Result<LabelResponse> RemoteShardRouter::Label(const LabelRequest& request) {
   Impl& impl = *impl_;
-  if (request.corpus == nullptr) {
-    return Status::InvalidArgument("request missing corpus");
-  }
-  const bool by_refs = request.candidate_refs != nullptr;
-  if (by_refs == (request.candidates != nullptr)) {
-    return Status::InvalidArgument(
-        "request must set exactly one of candidates / candidate_refs");
-  }
-  WallTimer timer;
-
   // Mint this request's trace identity (tracing on only): the root span
   // every downstream stage — placement, attempts, client I/O, and the
   // server-side spans shipped back over TRAC — hangs under.
@@ -185,271 +251,23 @@ Result<LabelResponse> RemoteShardRouter::Label(const LabelRequest& request) {
   // the root CLOSED (recorded into the ring) before it collects the tree.
   auto root_span = std::make_unique<obs::TraceSpan>("router.request");
 
-  // Identical placement to the in-process tier: stable content hash, so a
-  // mixed fleet of local routers and remote routers agrees on which shard
-  // owns every candidate.
-  std::vector<CandidateRef> identity;
-  if (!by_refs) identity = MakeCandidateRefs(*request.candidates);
-  const std::vector<CandidateRef>& base =
-      by_refs ? *request.candidate_refs : identity;
-  ShardedRefBatch parts;
-  {
-    obs::TraceSpan placement_span("router.placement");
-    parts = impl.partitioner.PartitionRefs(base);
-    placement_span.Annotate("rows=" + std::to_string(parts.total));
-  }
-
-  // Budget refill: one deposit per router request, however many shards it
-  // fans out to (amplification is bounded relative to offered load).
-  impl.budget.OnRequest();
-
-  // ---- Fan out: one failover chain per non-empty shard, concurrently.
-  // Each slot is written by exactly one thread, then joined before any
-  // read. ----
-  struct Pending {
-    size_t shard = 0;
-    const std::vector<size_t>* to_request = nullptr;
-    Result<LabelResponse> result{Status::Internal("pending")};
-    /// Replica attempt chain, in order (size 1 = primary answered).
-    std::vector<ShardAttempt> attempts;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(impl.clients.size());
-  for (size_t s = 0; s < impl.clients.size(); ++s) {
-    if (parts.shard_rows[s].empty()) continue;
-    Pending p;
-    p.shard = s;
-    p.to_request = &parts.shard_to_request[s];
-    pending.push_back(std::move(p));
-  }
-  {
-    // Fan-out threads inherit the request's identity with the root span as
-    // parent, so each attempt chain nests under router.request.
-    const obs::TraceContext fan_ctx = obs::CurrentTraceContext();
-    std::vector<std::thread> rpcs;
-    rpcs.reserve(pending.size());
-    for (Pending& p : pending) {
-      rpcs.emplace_back([&impl, &request, &parts, &p, fan_ctx] {
-        obs::ScopedTraceContext rpc_scope(fan_ctx);
-        const std::vector<uint32_t>& prefs =
-            impl.placement.Preferences(p.shard);
-        const SocketDeadline overall =
-            impl.options.request_timeout_ms > 0
-                ? DeadlineAfterMs(impl.options.request_timeout_ms)
-                : kNoDeadline;
-        // Did the previous attempt actually dispatch work? A breaker
-        // fail-fast did not — failing over from it is free (no budget, no
-        // backoff), so a steady outage of <= R-1 replicas costs nothing
-        // once the breakers open.
-        bool prev_dispatched = false;
-        uint64_t prev_retry_after_ms = 0;
-        for (size_t attempt = 0; attempt < prefs.size(); ++attempt) {
-          if (attempt > 0 && prev_dispatched) {
-            if (!impl.budget.TryConsume()) {
-              const Status& last = p.result.status();
-              p.result = Status(last.code(),
-                                last.message() + " [retry budget exhausted]");
-              break;
-            }
-            uint64_t delay = BackoffDelayMs(impl.options.backoff, p.shard,
-                                            static_cast<uint32_t>(attempt));
-            // An overloaded replica's retry_after hint floors the backoff:
-            // under fleet-wide overload the next replica is unlikely to be
-            // better off, and honoring the hint is what keeps a retrying
-            // router from amplifying the surge it was just shed from.
-            delay = std::max(delay, prev_retry_after_ms);
-            uint64_t left = RemainingMs(overall);
-            if (overall != kNoDeadline) delay = std::min(delay, left);
-            if (delay > 0) {
-              obs::TraceSpan backoff_span("router.backoff");
-              backoff_span.Annotate("shard=" + std::to_string(p.shard) +
-                                    " delay_ms=" + std::to_string(delay));
-              std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-            }
-          }
-          uint64_t attempt_budget_ms = impl.options.request_timeout_ms;
-          if (overall != kNoDeadline) {
-            attempt_budget_ms = RemainingMs(overall);
-            if (attempt_budget_ms == 0) {
-              p.result = Status::DeadlineExceeded(
-                  "request budget spent before replica " +
-                  std::to_string(prefs[attempt]) + " could be tried");
-              break;
-            }
-          }
-          const size_t endpoint = prefs[attempt];
-          bool failed_fast = false;
-          uint64_t retry_after_ms = 0;
-          {
-            obs::TraceSpan attempt_span("router.attempt");
-            p.result = impl.clients[endpoint].Label(
-                *request.corpus, parts.shard_rows[p.shard],
-                request.include_votes, request.apply_class_balance,
-                attempt_budget_ms, &failed_fast, &retry_after_ms);
-            attempt_span.Annotate(
-                "shard=" + std::to_string(p.shard) +
-                " endpoint=" + std::to_string(endpoint) + " status=" +
-                (p.result.ok()
-                     ? std::string("ok")
-                     : std::to_string(
-                           static_cast<int>(p.result.status().code()))));
-          }
-          p.attempts.push_back(ShardAttempt{
-              endpoint,
-              p.result.ok() ? StatusCode::kOk : p.result.status().code(),
-              p.result.ok() ? std::string() : p.result.status().message()});
-          if (p.result.ok()) {
-            if (attempt > 0) {
-              impl.failovers.fetch_add(1, std::memory_order_relaxed);
-            }
-            break;
-          }
-          if (failed_fast) {
-            impl.breaker_open_rejections.fetch_add(1,
-                                                   std::memory_order_relaxed);
-          }
-          prev_dispatched = !failed_fast;
-          prev_retry_after_ms = retry_after_ms;
-          if (!RetrySafe(p.result.status().code(), overall)) break;
-        }
-        obs::FlushThreadSpans();
+  auto response = impl.core.Route(
+      request, [&impl](const LabelRequest& r, std::vector<SubBatch>& batches) {
+        return impl.FanOut(r, batches);
       });
-    }
-    for (std::thread& rpc : rpcs) rpc.join();
-  }
-
-  // ---- Collect: default policy fails the whole request on any failed
-  // sub-batch, typed, naming the shard; allow_partial degrades instead. ----
-  std::vector<ShardOutcome> failed_outcomes;
-  std::vector<const Pending*> served;
-  served.reserve(pending.size());
-  for (const Pending& p : pending) {
-    if (p.result.ok()) {
-      served.push_back(&p);
-      continue;
-    }
-    const Status& cause = p.result.status();
-    if (!request.allow_partial) {
-      std::lock_guard<std::mutex> lock(impl.stats_mu);
-      ++impl.failed_requests;
-      return Status(cause.code(),
-                    "shard " + std::to_string(p.shard) + "/" +
-                        std::to_string(impl.clients.size()) +
-                        " failed: " + cause.message());
-    }
-    ShardOutcome outcome{p.shard, p.to_request->size(), cause.code(),
-                         cause.message(), {}};
-    outcome.attempts = p.attempts;
-    failed_outcomes.push_back(std::move(outcome));
-  }
-  if (request.allow_partial && served.empty() && !failed_outcomes.empty()) {
-    // Zero coverage is a failure wearing a success type — fail typed.
-    const ShardOutcome& first = failed_outcomes.front();
-    std::lock_guard<std::mutex> lock(impl.stats_mu);
-    ++impl.failed_requests;
-    return Status(first.code, "shard " + std::to_string(first.shard) + "/" +
-                                  std::to_string(impl.clients.size()) +
-                                  " failed (no shard survived): " +
-                                  first.message);
-  }
-
-  // ---- Merge into request order (same scatter as ShardRouter: every value
-  // copied verbatim from its shard's response, so the merged batch is
-  // bitwise what one unsharded service would produce). ----
-  const int cardinality = served.empty() ? 2 : (*served.front()).result->cardinality;
-  const size_t k = static_cast<size_t>(cardinality);
-  LabelResponse response;
-  response.cardinality = cardinality;
-  if (cardinality == 2) {
-    response.posteriors.resize(parts.total);
-  } else {
-    response.class_posteriors.resize(parts.total * k);
-  }
-  response.hard_labels.resize(parts.total);
-  const bool degraded = !failed_outcomes.empty();
-  // Attempt chains surface even on COMPLETE responses: a caller can see
-  // that replication saved a sub-batch (and which replicas failed) without
-  // opting into partial results.
-  bool any_failover = false;
-  for (const Pending& p : pending) {
-    if (p.attempts.size() > 1) any_failover = true;
-  }
-  if (degraded) {
-    response.is_partial = true;
-    response.covered.assign((parts.total + 63) / 64, 0);
-    response.shard_outcomes = std::move(failed_outcomes);
-  }
-  size_t num_lfs = 0;
-  std::vector<std::tuple<size_t, size_t, snorkel::Label>> vote_triplets;
-  for (const Pending* p : served) {
-    const LabelResponse& shard_response = *p->result;
-    const std::vector<size_t>& to_request = *p->to_request;
-    if (degraded || any_failover) {
-      ShardOutcome outcome{p->shard, to_request.size(), StatusCode::kOk, "",
-                           {}};
-      outcome.attempts = p->attempts;
-      response.shard_outcomes.push_back(std::move(outcome));
-    }
-    if (degraded) {
-      for (size_t t = 0; t < to_request.size(); ++t) {
-        response.covered[to_request[t] / 64] |= uint64_t{1}
-                                                << (to_request[t] % 64);
-      }
-    }
-    for (size_t t = 0; t < to_request.size(); ++t) {
-      response.hard_labels[to_request[t]] = shard_response.hard_labels[t];
-      if (cardinality == 2) {
-        response.posteriors[to_request[t]] = shard_response.posteriors[t];
-      } else {
-        std::copy(shard_response.class_posteriors.begin() + t * k,
-                  shard_response.class_posteriors.begin() + (t + 1) * k,
-                  response.class_posteriors.begin() + to_request[t] * k);
-      }
-    }
-    if (request.include_votes) {
-      num_lfs = std::max(num_lfs, shard_response.votes.num_lfs());
-      for (size_t t = 0; t < to_request.size(); ++t) {
-        for (const auto& entry : shard_response.votes.row(t)) {
-          vote_triplets.emplace_back(to_request[t], entry.lf, entry.label);
-        }
-      }
-    }
-  }
-  if (request.include_votes) {
-    auto votes = LabelMatrix::FromTriplets(parts.total, num_lfs,
-                                           vote_triplets, cardinality);
-    if (!votes.ok()) {
-      return Status::Internal("vote reassembly failed: " +
-                              votes.status().message());
-    }
-    response.votes = std::move(*votes);
-  }
-  if (degraded || any_failover) {
-    std::sort(response.shard_outcomes.begin(), response.shard_outcomes.end(),
-              [](const ShardOutcome& a, const ShardOutcome& b) {
-                return a.shard < b.shard;
-              });
-  }
-  response.latency_ms = timer.ElapsedMillis();
-  impl.latency_hist->Observe(response.latency_ms);
-
-  {
-    std::lock_guard<std::mutex> lock(impl.stats_mu);
-    if (degraded) ++impl.degraded_requests;
-    ++impl.num_requests;
-    impl.num_candidates += parts.total;
-  }
+  if (!response.ok()) return response;
+  impl.latency_hist->Observe(response->latency_ms);
 
   // Slow-request log: close the root first so the collected tree includes
   // it, then copy (not drain — tools/trace_dump still gets the spans) this
   // trace's spans out of the ring.
-  root_span->Annotate("rows=" + std::to_string(parts.total) +
-                      (degraded ? " degraded=1" : ""));
+  root_span->Annotate("rows=" + std::to_string(response->hard_labels.size()) +
+                      (response->is_partial ? " degraded=1" : ""));
   root_span.reset();
   if (minted.valid() && impl.options.slow_request_log_ms > 0 &&
-      response.latency_ms >=
+      response->latency_ms >=
           static_cast<double>(impl.options.slow_request_log_ms)) {
-    SNORKEL_LOG(Warning) << "slow request: " << response.latency_ms
+    SNORKEL_LOG(Warning) << "slow request: " << response->latency_ms
                          << " ms (threshold "
                          << impl.options.slow_request_log_ms << " ms) trace="
                          << minted.trace_id << "\n"
@@ -462,17 +280,13 @@ Result<LabelResponse> RemoteShardRouter::Label(const LabelRequest& request) {
 RemoteRouterStats RemoteShardRouter::stats() const {
   const Impl& impl = *impl_;
   RemoteRouterStats out;
-  {
-    std::lock_guard<std::mutex> lock(impl.stats_mu);
-    out.num_requests = impl.num_requests;
-    out.num_candidates = impl.num_candidates;
-    out.failed_requests = impl.failed_requests;
-    out.degraded_requests = impl.degraded_requests;
-  }
-  out.failovers = impl.failovers.load(std::memory_order_relaxed);
+  out.num_requests = impl.core.num_requests();
+  out.num_candidates = impl.core.num_candidates();
+  out.failed_requests = impl.core.failed_requests();
+  out.degraded_requests = impl.core.degraded_requests();
+  out.failovers = impl.failovers->value();
   out.retry_budget_exhausted = impl.budget.exhausted();
-  out.breaker_open_rejections =
-      impl.breaker_open_rejections.load(std::memory_order_relaxed);
+  out.breaker_open_rejections = impl.breaker_open_rejections->value();
   out.faults_injected = fault::InjectedCount();
   out.latency = impl.latency_hist->Snapshot();
   for (const RemoteShardClient& client : impl.clients) {

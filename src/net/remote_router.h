@@ -46,7 +46,11 @@ struct RemoteRouterStats {
 /// ShardServer processes with the SAME stable content-hash placement as the
 /// in-process tier (shard/partitioner.h), fans sub-batches out concurrently
 /// through RemoteShardClient stubs, and merges responses back into request
-/// order.
+/// order. Validation, partitioning, the failure policy, the merge and the
+/// request counters are the routing core ShardRouter shares
+/// (shard/routing_core.h); this class supplies only the remote backend —
+/// the per-shard failover chain, retry budget and backoff — plus the
+/// router.request trace root and the slow-request log.
 ///
 /// Guarantees (the fabric-level extension of ShardRouter's):
 ///  - All shards healthy → the merged response is BITWISE-IDENTICAL to one
@@ -68,13 +72,14 @@ struct RemoteRouterStats {
 ///    fleet with <= R-1 dead replicas per key keeps answering every request
 ///    completely, even under a steady outage. Attempt chains are recorded
 ///    in ShardOutcome::attempts.
-///  - Default mode: a sub-batch whose every admissible replica failed fails
-///    the WHOLE request with a typed status naming the shard — never silent
-///    partial data.
-///  - LabelRequest::allow_partial opts into typed degraded service: covered
-///    rows stay bit-identical, failed sub-batches come back as uncovered
-///    rows (covered bitmap + per-shard ShardOutcome), and only a request
-///    with NO surviving sub-batch fails outright.
+///  - A sub-batch whose every admissible replica failed fails the request
+///    typed, or degrades it to uncovered rows under
+///    LabelRequest::allow_partial — the core's failure policy.
+///  - LabelRequest::cancel: an expired token fails typed kDeadlineExceeded
+///    before anything is sent, and the token's deadline caps every
+///    sub-batch's overall budget (it crosses the wire with each attempt). A
+///    manual Cancel() does not cross the wire: it fails the request only if
+///    issued before Label() dispatches.
 ///
 /// Thread-safe: concurrent Label() calls fan out independently.
 class RemoteShardRouter {

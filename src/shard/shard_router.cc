@@ -6,15 +6,13 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
-#include <optional>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "shard/routing_core.h"
 #include "util/bounded_queue.h"
-#include "util/timer.h"
 
 namespace snorkel {
 
@@ -58,16 +56,18 @@ struct RequestLatch {
 
 /// One shard-bound unit of work: a borrowed, zero-copy ref sub-batch plus
 /// the request flags it must be served under. EVERYTHING the job points at
-/// (corpus, rows, slot, latch) is owned by the caller's Label() frame —
-/// which is why the router always waits for every admitted job, even on a
-/// rejected or failed request, before returning.
+/// (corpus, rows, cancel token, slot, latch) is owned by the caller's
+/// Label() frame — which is why the router always waits for every admitted
+/// job, even on a rejected or failed request, before returning.
 struct ShardJob {
   const Corpus* corpus = nullptr;
   const std::vector<CandidateRef>* rows = nullptr;
   bool include_votes = false;
   bool apply_class_balance = true;
+  /// The request's cancellation token, carried into the replica call.
+  const CancelToken* cancel = nullptr;
   /// Where the worker writes this job's result (caller-owned, stable).
-  std::optional<Result<LabelResponse>>* slot = nullptr;
+  Result<LabelResponse>* slot = nullptr;
   RequestLatch* latch = nullptr;
   /// Trace identity carried across the queue hop (zero when untraced) and
   /// the admission timestamp the worker turns into a queue-wait span.
@@ -75,14 +75,19 @@ struct ShardJob {
   uint64_t admit_ns = 0;
 
   void Finish(Result<LabelResponse> result) {
-    slot->emplace(std::move(result));
+    *slot = std::move(result);
     latch->Complete();
   }
 };
 
+/// Jobs fuse only under the same token, so one request's expiry cannot
+/// cancel another request's rows.
 bool Fusable(const ShardJob& a, const ShardJob& b) {
-  return a.corpus == b.corpus && a.apply_class_balance == b.apply_class_balance;
+  return a.corpus == b.corpus &&
+         a.apply_class_balance == b.apply_class_balance &&
+         a.cancel == b.cancel;
 }
+
 
 }  // namespace
 
@@ -94,27 +99,16 @@ struct ShardRouter::Impl {
   };
 
   Options options;
-  CandidatePartitioner partitioner;
-  size_t lf_count = 0;
-  /// Task cardinality of the snapshot every replica serves (2 = binary);
-  /// K-class responses carry flat m×K class_posteriors the merge scatters
-  /// K doubles at a time.
-  int cardinality = 2;
+  /// Validation, partitioning, failure policy, merge and request counters.
+  RoutingCore core;
   std::vector<Shard> shards;
   std::atomic<bool> shutdown{false};
   std::once_flag shutdown_once;
 
-  mutable std::mutex stats_mu;
-  uint64_t num_requests = 0;
-  uint64_t num_candidates = 0;
-  uint64_t rejected_requests = 0;
-  uint64_t failed_requests = 0;
-  uint64_t degraded_requests = 0;
-  uint64_t fused_jobs = 0;
-  /// High-water gauge, atomic so the admission hot path never touches the
-  /// shared stats lock.
+  std::shared_ptr<obs::Counter> fused_jobs;
+  /// High-water gauge, atomic so the admission hot path takes no lock.
   std::atomic<size_t> max_queue_depth{0};
-  bool has_served = false;
+  uint64_t queue_depth_token = 0;
 
   void RecordQueueDepth(size_t depth) {
     size_t seen = max_queue_depth.load(std::memory_order_relaxed);
@@ -122,39 +116,115 @@ struct ShardRouter::Impl {
                                seen, depth, std::memory_order_relaxed)) {
     }
   }
+
+  /// Busy span of successful requests, for RouterStats::throughput_cps.
+  mutable std::mutex span_mu;
+  bool has_served = false;
   std::chrono::steady_clock::time_point first_request_start{};
   std::chrono::steady_clock::time_point last_request_done{};
 
-  /// Registry callback tokens for the router counters (callbacks lock
-  /// stats_mu; unregistered in ~Impl, which bars further invocation).
-  std::vector<uint64_t> metric_tokens;
-
-  explicit Impl(Options opts)
-      : options(opts), partitioner(opts.num_shards) {
+  Impl(Options opts, int cardinality, size_t lf_count)
+      : options(opts),
+        core(RoutingCore::Config{opts.num_shards, cardinality, lf_count,
+                                 "snorkel_router_requests_total",
+                                 "snorkel_router_candidates_total",
+                                 "snorkel_router_failed_total",
+                                 "snorkel_router_degraded_total",
+                                 "snorkel_router_rejected_total",
+                                 /*placement_span=*/nullptr}) {
     auto& registry = obs::MetricsRegistry::Default();
-    auto expose = [&](const char* name, uint64_t Impl::* member) {
-      metric_tokens.push_back(registry.RegisterCallback(
-          name, obs::MetricType::kCounter, [this, member]() {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            return static_cast<double>(this->*member);
-          }));
-    };
-    expose("snorkel_router_requests_total", &Impl::num_requests);
-    expose("snorkel_router_candidates_total", &Impl::num_candidates);
-    expose("snorkel_router_rejected_total", &Impl::rejected_requests);
-    expose("snorkel_router_failed_total", &Impl::failed_requests);
-    expose("snorkel_router_degraded_total", &Impl::degraded_requests);
-    expose("snorkel_router_fused_jobs_total", &Impl::fused_jobs);
-    metric_tokens.push_back(registry.RegisterCallback(
+    fused_jobs = registry.CreateCounter("snorkel_router_fused_jobs_total");
+    queue_depth_token = registry.RegisterCallback(
         "snorkel_router_max_queue_depth", obs::MetricType::kGauge, [this]() {
           return static_cast<double>(
               max_queue_depth.load(std::memory_order_relaxed));
-        }));
+        });
   }
 
   ~Impl() {
-    auto& registry = obs::MetricsRegistry::Default();
-    for (uint64_t token : metric_tokens) registry.UnregisterCallback(token);
+    // UnregisterCallback is a barrier: the callback's `this` stays valid
+    // until it returns.
+    obs::MetricsRegistry::Default().UnregisterCallback(queue_depth_token);
+  }
+
+  Status QueueFull(size_t shard) const {
+    return Status::ResourceExhausted(
+        "shard " + std::to_string(shard) + "/" +
+        std::to_string(shards.size()) + " queue full (capacity " +
+        std::to_string(shards[shard].queue->capacity()) +
+        "); request rejected");
+  }
+
+  /// The local backend: admits one job per sub-batch into its shard's
+  /// bounded queue and waits for the workers to fill every admitted slot.
+  ///
+  /// Reject policy: admission is per-shard, not transactional — a request
+  /// rejected at shard s has already committed its sub-batches to shards
+  /// < s, whose (discarded) results the caller still waits for. To keep
+  /// rejection cheap under overload, every needed queue is probed first and
+  /// the request shed before committing anything; the probe is advisory
+  /// (another caller can fill a queue between probe and push), so the
+  /// per-shard rejection below still backstops it. allow_partial requests
+  /// skip the probe: a full queue degrades that shard's rows instead.
+  Status Admit(const LabelRequest& request, std::vector<SubBatch>& batches) {
+    if (shutdown.load(std::memory_order_acquire)) {
+      return Status::FailedPrecondition("router is shut down");
+    }
+    if (!options.block_on_full && !request.allow_partial) {
+      for (const SubBatch& batch : batches) {
+        const auto& queue = *shards[batch.shard].queue;
+        if (queue.size() >= queue.capacity()) {
+          core.CountRejected();
+          return QueueFull(batch.shard);
+        }
+      }
+    }
+    // All jobs share one completion latch; the slots live in `batches`,
+    // whose addresses stay stable while workers hold them.
+    RequestLatch latch;
+    size_t admitted = 0;
+    Status admit = Status::OK();
+    for (SubBatch& batch : batches) {
+      ShardJob job;
+      job.corpus = request.corpus;
+      job.rows = batch.rows;
+      job.include_votes = request.include_votes;
+      job.apply_class_balance = request.apply_class_balance;
+      job.cancel = request.cancel;
+      job.slot = &batch.result;
+      job.latch = &latch;
+      job.trace_ctx = obs::CurrentTraceContext();
+      job.admit_ns = job.trace_ctx.valid() ? obs::NowNanos() : 0;
+      latch.Arm();  // A worker may Complete() before the push even returns.
+      auto& queue = *shards[batch.shard].queue;
+      using PushResult = BoundedQueue<ShardJob>::PushResult;
+      PushResult pushed = options.block_on_full
+                              ? queue.Push(std::move(job))
+                              : queue.TryPush(std::move(job));
+      if (pushed == PushResult::kOk) {
+        ++admitted;
+        RecordQueueDepth(queue.size());
+        continue;
+      }
+      latch.Disarm();  // Not consumed.
+      if (pushed == PushResult::kClosed) {
+        admit = Status::FailedPrecondition("router is shut down");
+        break;
+      }
+      if (!request.allow_partial) {
+        admit = QueueFull(batch.shard);
+        break;
+      }
+      // Degrade just this shard's rows; keep admitting the rest.
+      batch.result = Status::ResourceExhausted(
+          "queue full (capacity " + std::to_string(queue.capacity()) + ")");
+    }
+    // Always wait for EVERY admitted job: enqueued sub-batches reference
+    // the caller's corpus, latch, and slots, so even a rejected request
+    // must not race its own workers.
+    if (admitted > 0) latch.Wait();
+    if (admit.code() == StatusCode::kResourceExhausted) core.CountRejected();
+    return admit;
   }
 
   /// Turns a job's admission timestamp into a queue-wait span and installs
@@ -173,6 +243,7 @@ struct ShardRouter::Impl {
     request.candidate_refs = job.rows;
     request.include_votes = job.include_votes;
     request.apply_class_balance = job.apply_class_balance;
+    request.cancel = job.cancel;
     // The span must close before Finish unblocks the caller and before the
     // flush, or a drain right after Label() returns misses shard.serve.
     Result<LabelResponse> response(Status::Internal("unset"));
@@ -223,6 +294,7 @@ struct ShardRouter::Impl {
     request.candidate_refs = &fused;
     request.include_votes = any_votes;
     request.apply_class_balance = run[begin].apply_class_balance;
+    request.cancel = run[begin].cancel;
     // Each fused job gets its own queue-wait span; the single model pass
     // is attributed to the first job's trace (annotated with the fuse
     // width so the others' traces aren't silently missing time).
@@ -274,8 +346,7 @@ struct ShardRouter::Impl {
       job.Finish(std::move(out));
       offset += n;
     }
-    std::lock_guard<std::mutex> lock(stats_mu);
-    fused_jobs += (end - begin) - 1;
+    fused_jobs->Increment((end - begin) - 1);
   }
 
   void WorkerLoop(size_t shard_index) {
@@ -318,9 +389,8 @@ Result<ShardRouter> ShardRouter::Create(const ModelSnapshot& snapshot,
   if (options.num_shards == 0) {
     return Status::InvalidArgument("ShardRouter needs at least one shard");
   }
-  auto impl = std::make_unique<Impl>(options);
-  impl->lf_count = lfs.size();
-  impl->cardinality = snapshot.cardinality;
+  auto impl =
+      std::make_unique<Impl>(options, snapshot.cardinality, lfs.size());
   impl->shards.resize(options.num_shards);
   for (size_t s = 0; s < options.num_shards; ++s) {
     auto replica = LabelService::Create(snapshot, lfs, options.service);
@@ -366,244 +436,13 @@ void ShardRouter::Shutdown() {
 
 Result<LabelResponse> ShardRouter::Label(const LabelRequest& request) {
   Impl& impl = *impl_;
-  if (request.corpus == nullptr) {
-    return Status::InvalidArgument("request missing corpus");
-  }
-  const bool by_refs = request.candidate_refs != nullptr;
-  if (by_refs == (request.candidates != nullptr)) {
-    return Status::InvalidArgument(
-        "request must set exactly one of candidates / candidate_refs");
-  }
-  if (impl.shutdown.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("router is shut down");
-  }
   const auto request_start = std::chrono::steady_clock::now();
-  WallTimer timer;
-
-  // Zero-copy fan-out: sub-batches borrow the request's candidates (and
-  // keep the caller-visible indices), so sharding neither copies a
-  // candidate nor renumbers what index-dependent LFs observe.
-  std::vector<CandidateRef> identity;
-  if (!by_refs) identity = MakeCandidateRefs(*request.candidates);
-  const std::vector<CandidateRef>& base =
-      by_refs ? *request.candidate_refs : identity;
-  ShardedRefBatch parts = impl.partitioner.PartitionRefs(base);
-
-  // ---- Fan out: admit one job per non-empty shard. All jobs share one
-  // completion latch; slots are preallocated so their addresses stay stable
-  // while workers hold them. ----
-  struct Pending {
-    size_t shard = 0;
-    std::vector<size_t> to_request;
-    std::optional<Result<LabelResponse>>* slot = nullptr;
-  };
-  RequestLatch latch;
-  std::vector<std::optional<Result<LabelResponse>>> slots(impl.shards.size());
-  std::vector<Pending> pending;
-  pending.reserve(impl.shards.size());
-  size_t admitted = 0;
-  Status admit = Status::OK();
-  // Typed failures per sub-batch, recorded instead of failing the request
-  // when allow_partial (admission rejections and shard errors both land
-  // here; merged with the successful shards' kOk outcomes below).
-  std::vector<ShardOutcome> failed_outcomes;
-  // Reject policy: admission is per-shard, not transactional — a request
-  // rejected at shard s has already committed its sub-batches to shards
-  // < s, whose (discarded) results the caller still waits for. To keep
-  // rejection cheap under overload, probe every needed queue first and
-  // shed before committing anything; the probe is advisory (another caller
-  // can fill a queue between probe and push), so the per-shard rejection
-  // path below still backstops it. (allow_partial requests skip the probe:
-  // a full queue degrades that shard's rows, it does not shed the request.)
-  if (!impl.options.block_on_full && !request.allow_partial) {
-    for (size_t s = 0; s < impl.shards.size(); ++s) {
-      auto& queue = *impl.shards[s].queue;
-      if (!parts.shard_rows[s].empty() &&
-          queue.size() >= queue.capacity()) {
-        std::lock_guard<std::mutex> lock(impl.stats_mu);
-        ++impl.rejected_requests;
-        return Status::ResourceExhausted(
-            "shard " + std::to_string(s) + "/" +
-            std::to_string(impl.shards.size()) + " queue full (capacity " +
-            std::to_string(queue.capacity()) + "); request rejected");
-      }
-    }
-  }
-  for (size_t s = 0; s < impl.shards.size() && admit.ok(); ++s) {
-    if (parts.shard_rows[s].empty()) continue;
-    ShardJob job;
-    job.corpus = request.corpus;
-    job.rows = &parts.shard_rows[s];
-    job.include_votes = request.include_votes;
-    job.apply_class_balance = request.apply_class_balance;
-    job.slot = &slots[s];
-    job.latch = &latch;
-    job.trace_ctx = obs::CurrentTraceContext();
-    job.admit_ns = job.trace_ctx.valid() ? obs::NowNanos() : 0;
-    latch.Arm();  // A worker may Complete() before the push even returns.
-    auto& queue = *impl.shards[s].queue;
-    using PushResult = BoundedQueue<ShardJob>::PushResult;
-    PushResult pushed = impl.options.block_on_full
-                            ? queue.Push(std::move(job))
-                            : queue.TryPush(std::move(job));
-    switch (pushed) {
-      case PushResult::kOk:
-        ++admitted;
-        pending.push_back(
-            Pending{s, std::move(parts.shard_to_request[s]), &slots[s]});
-        impl.RecordQueueDepth(queue.size());
-        break;
-      case PushResult::kQueueFull:
-        latch.Disarm();  // Not consumed.
-        if (request.allow_partial) {
-          // Degrade just this shard's rows; keep admitting the rest.
-          failed_outcomes.push_back(ShardOutcome{
-              s, parts.shard_rows[s].size(), StatusCode::kResourceExhausted,
-              "queue full (capacity " + std::to_string(queue.capacity()) +
-                  ")",
-              {}});
-        } else {
-          admit = Status::ResourceExhausted(
-              "shard " + std::to_string(s) + "/" +
-              std::to_string(impl.shards.size()) + " queue full (capacity " +
-              std::to_string(queue.capacity()) + "); request rejected");
-        }
-        break;
-      case PushResult::kClosed:
-        latch.Disarm();
-        admit = Status::FailedPrecondition("router is shut down");
-        break;
-    }
-  }
-
-  // ---- Collect. Always wait for EVERY admitted job before returning:
-  // enqueued sub-batches reference the caller's corpus, latch, and slots,
-  // so even a rejected or failed request must not race its own workers. ----
-  if (admitted > 0) latch.Wait();
-
-  if (!admit.ok()) {
-    if (admit.code() == StatusCode::kResourceExhausted) {
-      std::lock_guard<std::mutex> lock(impl.stats_mu);
-      ++impl.rejected_requests;
-    }
-    return admit;
-  }
-  // Which admitted sub-batches actually served. Default policy: any failure
-  // fails the whole request, typed, with shard context — never a
-  // partially-filled response. allow_partial: failures become uncovered
-  // rows; only a request with NO surviving sub-batch fails outright.
-  std::vector<const Pending*> served;
-  served.reserve(pending.size());
-  for (const Pending& p : pending) {
-    const Result<LabelResponse>& result = **p.slot;
-    if (result.ok()) {
-      served.push_back(&p);
-      continue;
-    }
-    const Status& cause = result.status();
-    if (!request.allow_partial) {
-      std::lock_guard<std::mutex> lock(impl.stats_mu);
-      ++impl.failed_requests;
-      return Status(cause.code(), "shard " + std::to_string(p.shard) + "/" +
-                                      std::to_string(impl.shards.size()) +
-                                      " failed: " + cause.message());
-    }
-    failed_outcomes.push_back(ShardOutcome{
-        p.shard, p.to_request.size(), cause.code(), cause.message(), {}});
-  }
-  if (request.allow_partial && served.empty() && !failed_outcomes.empty()) {
-    // Nothing survived — a zero-coverage "partial" response would be a
-    // failure wearing a success type. Fail typed like the default policy.
-    const ShardOutcome& first = failed_outcomes.front();
-    std::lock_guard<std::mutex> lock(impl.stats_mu);
-    if (first.code == StatusCode::kResourceExhausted) {
-      ++impl.rejected_requests;
-    } else {
-      ++impl.failed_requests;
-    }
-    return Status(first.code, "shard " + std::to_string(first.shard) + "/" +
-                                  std::to_string(impl.shards.size()) +
-                                  " failed (no shard survived): " +
-                                  first.message);
-  }
-
-  // ---- Merge back into request order. Binary responses scatter one
-  // scalar per row; K-class responses scatter one K-vector per row. Either
-  // way every per-row value is copied verbatim from its shard's response,
-  // so the merged batch is bitwise-identical to one unsharded pass. ----
-  const size_t k = static_cast<size_t>(impl.cardinality);
-  LabelResponse response;
-  response.cardinality = impl.cardinality;
-  if (impl.cardinality == 2) {
-    response.posteriors.resize(parts.total);
-  } else {
-    response.class_posteriors.resize(parts.total * k);
-  }
-  response.hard_labels.resize(parts.total);
-  // Degradation bookkeeping: covered-index bitmap + per-sub-batch status
-  // (kOk rows merged below; failed ones stay uncovered).
-  const bool degraded = !failed_outcomes.empty();
-  if (degraded) {
-    response.is_partial = true;
-    response.covered.assign((parts.total + 63) / 64, 0);
-    response.shard_outcomes = std::move(failed_outcomes);
-  }
-  // `Label` names this method here, so qualify the vote type.
-  std::vector<std::tuple<size_t, size_t, snorkel::Label>> vote_triplets;
-  for (const Pending* served_p : served) {
-    const Result<LabelResponse>& slot_result = **served_p->slot;
-    const LabelResponse& shard_response = *slot_result;
-    const std::vector<size_t>& to_request = served_p->to_request;
-    if (degraded) {
-      response.shard_outcomes.push_back(ShardOutcome{
-          served_p->shard, to_request.size(), StatusCode::kOk, "", {}});
-      for (size_t t = 0; t < to_request.size(); ++t) {
-        response.covered[to_request[t] / 64] |= uint64_t{1}
-                                                << (to_request[t] % 64);
-      }
-    }
-    for (size_t t = 0; t < to_request.size(); ++t) {
-      response.hard_labels[to_request[t]] = shard_response.hard_labels[t];
-      if (impl.cardinality == 2) {
-        response.posteriors[to_request[t]] = shard_response.posteriors[t];
-      } else {
-        std::copy(shard_response.class_posteriors.begin() + t * k,
-                  shard_response.class_posteriors.begin() + (t + 1) * k,
-                  response.class_posteriors.begin() + to_request[t] * k);
-      }
-    }
-    if (request.include_votes) {
-      for (size_t t = 0; t < to_request.size(); ++t) {
-        for (const auto& entry : shard_response.votes.row(t)) {
-          vote_triplets.emplace_back(to_request[t], entry.lf, entry.label);
-        }
-      }
-    }
-  }
-  if (request.include_votes) {
-    auto votes = LabelMatrix::FromTriplets(parts.total, impl.lf_count,
-                                           vote_triplets, impl.cardinality);
-    if (!votes.ok()) {
-      // Unreachable from well-formed shard matrices; surface, don't hide.
-      return Status::Internal("vote reassembly failed: " +
-                              votes.status().message());
-    }
-    response.votes = std::move(*votes);
-  }
-  if (degraded) {
-    // Deterministic report order regardless of completion interleaving.
-    std::sort(response.shard_outcomes.begin(), response.shard_outcomes.end(),
-              [](const ShardOutcome& a, const ShardOutcome& b) {
-                return a.shard < b.shard;
-              });
-  }
-  response.latency_ms = timer.ElapsedMillis();
-
-  {
-    std::lock_guard<std::mutex> lock(impl.stats_mu);
-    if (degraded) ++impl.degraded_requests;
-    ++impl.num_requests;
-    impl.num_candidates += parts.total;
+  auto response = impl.core.Route(
+      request, [&impl](const LabelRequest& r, std::vector<SubBatch>& batches) {
+        return impl.Admit(r, batches);
+      });
+  if (response.ok()) {
+    std::lock_guard<std::mutex> lock(impl.span_mu);
     if (!impl.has_served || request_start < impl.first_request_start) {
       impl.first_request_start = request_start;
       impl.has_served = true;
@@ -621,24 +460,24 @@ void ShardRouter::InvalidateCache() {
 RouterStats ShardRouter::stats() const {
   const Impl& impl = *impl_;
   RouterStats out;
+  out.num_requests = impl.core.num_requests();
+  out.num_candidates = impl.core.num_candidates();
+  out.rejected_requests = impl.core.rejected_requests();
+  out.failed_requests = impl.core.failed_requests();
+  out.degraded_requests = impl.core.degraded_requests();
+  out.fused_jobs = impl.fused_jobs->value();
+  out.max_queue_depth = impl.max_queue_depth.load(std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(impl.stats_mu);
-    out.num_requests = impl.num_requests;
-    out.num_candidates = impl.num_candidates;
-    out.rejected_requests = impl.rejected_requests;
-    out.failed_requests = impl.failed_requests;
-    out.degraded_requests = impl.degraded_requests;
-    out.fused_jobs = impl.fused_jobs;
-    out.max_queue_depth = impl.max_queue_depth.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(impl.span_mu);
     if (impl.has_served) {
-      out.busy_span_s = std::chrono::duration<double>(impl.last_request_done -
-                                                      impl.first_request_start)
+      out.busy_span_s = std::chrono::duration<double>(
+                            impl.last_request_done - impl.first_request_start)
                             .count();
-      out.throughput_cps =
-          out.busy_span_s > 0.0
-              ? static_cast<double>(impl.num_candidates) / out.busy_span_s
-              : 0.0;
     }
+  }
+  if (out.busy_span_s > 0.0) {
+    out.throughput_cps =
+        static_cast<double>(out.num_candidates) / out.busy_span_s;
   }
   if (!impl.shards.empty()) {
     // Replicas were built from one snapshot; any replica's identity is the

@@ -77,6 +77,11 @@ struct RouterStats {
 ///        bursts into fused model passes, run the shard's replica
 ///     └─ merge: responses reassembled into request order
 ///
+/// Validation, partitioning, the failure policy, the merge and the request
+/// counters are the routing core RemoteShardRouter shares
+/// (shard/routing_core.h); this class supplies only the local backend —
+/// bounded-queue admission and burst-fused workers.
+///
 /// Guarantees:
 ///  - Posteriors (the binary scalar AND the K-class per-row class
 ///    distribution), hard labels, and (with include_votes) the reassembled
@@ -84,14 +89,11 @@ struct RouterStats {
 ///    answering the same request: every per-row kernel is content-pure, so
 ///    neither the partition, the sub-batch sizes, nor worker-side fusion
 ///    can perturb a single bit.
-///  - By default a failed shard fails the whole request with a typed status
-///    naming the shard ("shard 2/4: ..."); the router never returns
-///    partially-filled data silently. A request may instead opt into typed
-///    DEGRADED service with LabelRequest::allow_partial: covered rows are
-///    still bitwise-identical to the unsharded answer, failed sub-batches
-///    surface as uncovered rows (LabelResponse::covered bitmap +
-///    per-sub-batch ShardOutcome), and only a request with NO surviving
-///    sub-batch fails outright.
+///  - Failed shards fail the request typed, or degrade it to uncovered rows
+///    under LabelRequest::allow_partial — the core's failure policy.
+///  - LabelRequest::cancel is honoured like LabelService does: an expired
+///    token fails typed kDeadlineExceeded before anything is queued, and the
+///    token rides into each replica call (jobs fuse only under one token).
 ///  - Requests admitted before Shutdown() drain to completion; Label()
 ///    after shutdown is a typed FailedPrecondition.
 ///

@@ -30,9 +30,12 @@
 #include "net/snapshot_store.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "pipeline/export_snapshot.h"
 #include "serve/snapshot.h"
 #include "shard/partitioner.h"
+#include "synth/crossmodal.h"
 #include "util/binary_io.h"
+#include "util/cancellation.h"
 #include "util/fault.h"
 
 namespace snorkel {
@@ -2165,6 +2168,124 @@ TEST(RemoteRouterTest, BreakerOpenFailoverIsFreeWithZeroBudget) {
   EXPECT_GE(stats.retry_budget_exhausted, 1u);
   ASSERT_EQ(stats.per_shard.size(), 2u);
   EXPECT_FALSE(stats.per_shard[1].healthy);
+}
+
+TEST(RemoteRouterTest, CancelledTokenFailsTypedDeadlineExceeded) {
+  FaultGuard guard;
+  TwoShardFleet fleet(64);
+  LabelResponse expected = fleet.fx.Expected(fleet.snapshot, false);
+  auto router = RemoteShardRouter::Create(fleet.endpoints, {});
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  // Already-expired tokens (cancelled by hand, deadline passed) fail typed
+  // before any sub-batch crosses the wire.
+  CancelToken cancelled;
+  cancelled.Cancel();
+  CancelToken past(std::chrono::steady_clock::now() -
+                   std::chrono::milliseconds(1));
+  for (const CancelToken* token : {&cancelled, &past}) {
+    LabelRequest request;
+    request.corpus = &fleet.fx.corpus;
+    request.candidates = &fleet.fx.candidates;
+    request.cancel = token;
+    auto response = router->Label(request);
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)
+        << response.status().ToString();
+  }
+  RemoteRouterStats stats = router->stats();
+  EXPECT_EQ(stats.failed_requests, 2u);
+  EXPECT_EQ(stats.num_requests, 0u);
+  for (const RemoteShardClient::Stats& shard : stats.per_shard) {
+    EXPECT_EQ(shard.requests, 0u);
+  }
+
+  // A live token serves bitwise.
+  CancelToken live(std::chrono::steady_clock::now() + std::chrono::hours(1));
+  LabelRequest request;
+  request.corpus = &fleet.fx.corpus;
+  request.candidates = &fleet.fx.candidates;
+  request.cancel = &live;
+  auto served = router->Label(request);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->posteriors, expected.posteriors);
+
+  // The token's deadline caps each sub-batch's budget even when the router
+  // sets none: every replica now stalls far past it, and the request fails
+  // typed instead of waiting the stall out (or failing over on a spent
+  // budget).
+  fault::Schedule stall;
+  stall.kind = fault::Schedule::Kind::kDelayNth;
+  stall.n = 1;
+  stall.delay_ms = 600;
+  ASSERT_TRUE(fault::Arm("server.label", stall).ok());
+  CancelToken soon(std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(100));
+  request.cancel = &soon;
+  auto capped = router->Label(request);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kDeadlineExceeded)
+      << capped.status().ToString();
+}
+
+TEST(RemoteRouterTest, KClassMergeWithVotesBitwiseIdenticalToUnsharded) {
+  // The crowd-shaped K-class snapshot (5 classes, index-dependent worker
+  // LFs) served by two loopback ShardServers behind an R=2 router.
+  CrowdServingOptions crowd;
+  crowd.num_items = 120;
+  crowd.num_workers = 10;
+  auto task = MakeCrowdServingTask(crowd);
+  ASSERT_TRUE(task.ok()) << task.status().ToString();
+  auto snapshot = TrainKClassSnapshot(task->lfs, task->corpus,
+                                      task->candidates, task->cardinality);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const std::string path = TempPath("kclass_fleet.snk");
+  ASSERT_TRUE(SaveSnapshot(*snapshot, path).ok());
+
+  auto unsharded = LabelService::Create(*snapshot, task->lfs);
+  ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
+  LabelRequest request;
+  request.corpus = &task->corpus;
+  request.candidates = &task->candidates;
+  request.include_votes = true;
+  auto expected = unsharded->Label(request);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected->cardinality, 5);
+
+  std::vector<ShardServer> servers;
+  std::vector<std::pair<std::string, uint16_t>> endpoints;
+  for (int s = 0; s < 2; ++s) {
+    auto server = ShardServer::Serve(path, task->lfs, {});
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    endpoints.emplace_back("127.0.0.1", server->port());
+    servers.push_back(std::move(*server));
+  }
+  RemoteShardRouter::Options options;
+  options.replication = 2;
+  auto router = RemoteShardRouter::Create(endpoints, options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  auto actual = router->Label(request);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_EQ(actual->cardinality, 5);
+  EXPECT_FALSE(actual->is_partial);
+  EXPECT_TRUE(actual->posteriors.empty());
+  ASSERT_EQ(actual->class_posteriors.size(),
+            expected->class_posteriors.size());
+  for (size_t t = 0; t < expected->class_posteriors.size(); ++t) {
+    EXPECT_EQ(actual->class_posteriors[t], expected->class_posteriors[t])
+        << "class-posterior bits drifted at flat index " << t;
+  }
+  EXPECT_EQ(actual->hard_labels, expected->hard_labels);
+  ASSERT_EQ(actual->votes.num_rows(), expected->votes.num_rows());
+  ASSERT_EQ(actual->votes.num_lfs(), expected->votes.num_lfs());
+  for (size_t i = 0; i < expected->votes.num_rows(); ++i) {
+    for (size_t j = 0; j < expected->votes.num_lfs(); ++j) {
+      EXPECT_EQ(actual->votes.At(i, j), expected->votes.At(i, j))
+          << "vote mismatch at (" << i << ", " << j << ")";
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------- store crash consistency (S3) --

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "shard/partitioner.h"
 #include "shard/shard_router.h"
 #include "synth/crossmodal.h"
+#include "util/cancellation.h"
 
 namespace snorkel {
 namespace {
@@ -866,6 +868,169 @@ TEST(ShardRouterTest, AllowPartialDegradesTypedInsteadOfFailingWhole) {
   RouterStats stats = router->stats();
   EXPECT_EQ(stats.degraded_requests, 1u);
   EXPECT_EQ(stats.failed_requests, 0u);
+
+  // The same degraded request with include_votes: the merged Λ holds
+  // exactly the covered rows' votes (equal to one unsharded service's) and
+  // no entry at all for an uncovered row.
+  auto unsharded =
+      LabelService::Create(snapshot, MakeSwappableLfs(NormalCauses));
+  ASSERT_TRUE(unsharded.ok());
+  request.include_votes = true;
+  auto expected_votes = unsharded->Label(request);
+  ASSERT_TRUE(expected_votes.ok());
+  auto with_votes = router->Label(request);
+  ASSERT_TRUE(with_votes.ok()) << with_votes.status().ToString();
+  EXPECT_TRUE(with_votes->is_partial);
+  const LabelMatrix& votes = with_votes->votes;
+  ASSERT_EQ(votes.num_rows(), fx.candidates.size());
+  ASSERT_EQ(votes.num_lfs(), expected_votes->votes.num_lfs());
+  for (size_t i = 0; i < fx.candidates.size(); ++i) {
+    if (!with_votes->RowCovered(i)) {
+      EXPECT_TRUE(votes.row(i).empty()) << "uncovered row " << i;
+      continue;
+    }
+    ASSERT_EQ(votes.row(i).size(), expected_votes->votes.row(i).size())
+        << "row " << i;
+    for (size_t j = 0; j < votes.num_lfs(); ++j) {
+      EXPECT_EQ(votes.At(i, j), expected_votes->votes.At(i, j))
+          << "vote mismatch at (" << i << ", " << j << ")";
+    }
+  }
+  EXPECT_EQ(router->stats().degraded_requests, 2u);
+}
+
+// ------------------------------------------------------- cancellation --
+
+TEST(ShardRouterTest, CancelledTokenFailsTypedDeadlineExceeded) {
+  ShardFixture fx(64);
+  LabelingFunctionSet lfs = fx.MakeLfs();
+  ModelSnapshot snapshot = fx.MakeSnapshot(lfs);
+  auto direct = LabelService::Create(snapshot, fx.MakeLfs());
+  ASSERT_TRUE(direct.ok());
+  ShardRouter::Options options;
+  options.num_shards = 3;
+  auto router = ShardRouter::Create(snapshot, fx.MakeLfs(), options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  // A token cancelled by hand and one whose deadline has passed: the router
+  // answers exactly like the unsharded service, typed kDeadlineExceeded.
+  CancelToken cancelled;
+  cancelled.Cancel();
+  CancelToken past(std::chrono::steady_clock::now() -
+                   std::chrono::milliseconds(1));
+  for (const CancelToken* token : {&cancelled, &past}) {
+    LabelRequest request;
+    request.corpus = &fx.corpus;
+    request.candidates = &fx.candidates;
+    request.cancel = token;
+    auto unsharded = direct->Label(request);
+    ASSERT_FALSE(unsharded.ok());
+    EXPECT_EQ(unsharded.status().code(), StatusCode::kDeadlineExceeded);
+    auto routed = router->Label(request);
+    ASSERT_FALSE(routed.ok());
+    EXPECT_EQ(routed.status().code(), StatusCode::kDeadlineExceeded)
+        << routed.status().ToString();
+    request.allow_partial = true;
+    auto partial = router->Label(request);
+    ASSERT_FALSE(partial.ok());
+    EXPECT_EQ(partial.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  RouterStats stats = router->stats();
+  EXPECT_EQ(stats.failed_requests, 4u);
+  EXPECT_EQ(stats.num_requests, 0u);
+  // Nothing was dispatched: no replica ran a model pass.
+  for (const ServiceStats& shard : stats.per_shard) {
+    EXPECT_EQ(shard.num_requests, 0u);
+  }
+
+  // A live token changes nothing: bitwise the unsharded answer.
+  CancelToken live(std::chrono::steady_clock::now() + std::chrono::hours(1));
+  LabelRequest request;
+  request.corpus = &fx.corpus;
+  request.candidates = &fx.candidates;
+  request.cancel = &live;
+  auto expected = direct->Label(request);
+  ASSERT_TRUE(expected.ok());
+  auto actual = router->Label(request);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_EQ(actual->posteriors, expected->posteriors);
+  EXPECT_EQ(actual->hard_labels, expected->hard_labels);
+}
+
+TEST(ShardRouterTest, FusionNeverMixesCancelTokens) {
+  ShardFixture fx(64);
+  ModelSnapshot snapshot = fx.MakeSnapshot(MakeSwappableLfs(NormalCauses));
+  // lf_causes parks the worker on candidate C0 while `hold` is set, so the
+  // test can line up queued jobs behind it without sleeping.
+  std::atomic<bool> hold{true};
+  std::atomic<bool> parked{false};
+  LabelingFunctionSet gated =
+      MakeSwappableLfs([&hold, &parked](const CandidateView& view) -> Label {
+        if (view.candidate().span1.canonical_id == "C0") {
+          parked.store(true);
+          while (hold.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
+        return NormalCauses(view);
+      });
+  ShardRouter::Options options;
+  options.num_shards = 1;
+  options.workers_per_shard = 1;
+  options.max_fuse = 8;
+  auto router = ShardRouter::Create(snapshot, std::move(gated), options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  std::vector<Candidate> blocker(fx.candidates.begin(),
+                                 fx.candidates.begin() + 1);
+  std::vector<Candidate> rest(fx.candidates.begin() + 1, fx.candidates.end());
+  auto wait_for = [](const std::function<bool()>& done) {
+    for (int i = 0; i < 5000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+
+  Result<LabelResponse> blocked(Status::Internal("unset"));
+  Result<LabelResponse> untokened(Status::Internal("unset"));
+  Result<LabelResponse> expiring(Status::Internal("unset"));
+  CancelToken token(std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(300));
+  auto send = [&](const std::vector<Candidate>* rows, const CancelToken* t,
+                  Result<LabelResponse>* out) {
+    return std::thread([&router, &fx, rows, t, out] {
+      LabelRequest request;
+      request.corpus = &fx.corpus;
+      request.candidates = rows;
+      request.cancel = t;
+      *out = router->Label(request);
+    });
+  };
+  std::thread first = send(&blocker, nullptr, &blocked);
+  bool lined_up = wait_for([&] { return parked.load(); });
+  // Queue an untokened request, then one whose token expires while it
+  // waits: a worker that fused them under the first job's (null) token
+  // would serve the expired request's rows as if nothing had happened.
+  std::thread second = send(&rest, nullptr, &untokened);
+  lined_up = lined_up &&
+             wait_for([&] { return router->stats().queue_depth == 1; });
+  std::thread third = send(&rest, &token, &expiring);
+  lined_up = lined_up &&
+             wait_for([&] { return router->stats().queue_depth == 2; }) &&
+             wait_for([&] { return token.Expired(); });
+  hold.store(false);
+  first.join();
+  second.join();
+  third.join();
+  ASSERT_TRUE(lined_up) << "jobs never lined up behind the parked worker";
+
+  ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
+  ASSERT_TRUE(untokened.ok()) << untokened.status().ToString();
+  EXPECT_EQ(untokened->posteriors.size(), rest.size());
+  ASSERT_FALSE(expiring.ok());
+  EXPECT_EQ(expiring.status().code(), StatusCode::kDeadlineExceeded)
+      << expiring.status().ToString();
+  EXPECT_EQ(router->stats().fused_jobs, 0u);
 }
 
 // ------------------------------------------------------- mmap snapshots --
