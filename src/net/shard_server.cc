@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -17,7 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/snapshot.h"
-#include "util/bounded_queue.h"
+#include "shard/worker_core.h"
 #include "util/cancellation.h"
 #include "util/fault.h"
 #include "util/hash.h"
@@ -67,33 +66,6 @@ Result<std::shared_ptr<ServingState>> LoadServingState(
                                         snapshot->CanonicalChecksum());
 }
 
-/// A decoded label request cached per connectionless admission: the corpus
-/// slice is interned process-wide (below) so repeat traffic keys the same
-/// Corpus object and the replica's incremental column cache — which scopes
-/// entries by corpus identity — hits across requests and connections.
-struct Job {
-  uint64_t request_id = 0;
-  std::shared_ptr<const Corpus> corpus;
-  std::vector<Candidate> candidates;
-  std::vector<CandidateRef> refs;
-  bool include_votes = false;
-  bool apply_class_balance = true;
-  /// Absolute deadline derived from the request's remaining budget at
-  /// decode time; kNoDeadline when the request carried none.
-  SocketDeadline deadline = kNoDeadline;
-  /// Trace identity from the request's TRAC section (zero when untraced)
-  /// and the admission timestamp the worker turns into a queue-wait span.
-  obs::TraceContext trace;
-  uint64_t admit_ns = 0;
-  /// Cost-aware admission metadata: estimated cost (rows × LFs), lane
-  /// (small batches ride the interactive lane — served first, shed last),
-  /// and the admission instant the per-lane wait histograms measure from.
-  uint64_t cost = 0;
-  bool interactive = true;
-  std::chrono::steady_clock::time_point admitted_at{};
-  std::promise<Result<LabelResponse>> result;
-};
-
 }  // namespace
 
 struct ShardServer::Impl {
@@ -107,8 +79,6 @@ struct ShardServer::Impl {
   mutable std::mutex state_mu;
   std::shared_ptr<ServingState> state;
 
-  BoundedQueue<std::unique_ptr<Job>> queue;
-  std::vector<std::thread> workers;
   std::thread accept_thread;
   std::thread watcher_thread;
 
@@ -127,21 +97,26 @@ struct ShardServer::Impl {
   std::atomic<bool> stopping{false};
   std::atomic<bool> shut_down{false};
 
-  // ---- Counters. ----
-  std::atomic<uint64_t> requests_served{0};
-  std::atomic<uint64_t> candidates_served{0};
-  std::atomic<uint64_t> queue_rejections{0};
-  std::atomic<uint64_t> deadline_rejections{0};
-  std::atomic<uint64_t> snapshot_swaps{0};
-  std::atomic<uint64_t> rejected_swaps{0};
-  std::atomic<uint64_t> expired_work_cancelled{0};
-  std::atomic<uint64_t> shed_total{0};
-
-  /// Per-lane queue-wait histograms (shared fabric latency buckets, so
-  /// cross-process merges stay well defined). The registry has no label
-  /// dimension — the lane is encoded in the metric name.
-  std::shared_ptr<obs::Histogram> queue_wait_interactive;
-  std::shared_ptr<obs::Histogram> queue_wait_bulk;
+  // ---- Counters: registry instruments, which stats() reads. ----
+  static std::shared_ptr<obs::Counter> NewCounter(const char* name) {
+    return obs::MetricsRegistry::Default().CreateCounter(name);
+  }
+  std::shared_ptr<obs::Counter> requests_served =
+      NewCounter("snorkel_server_requests_total");
+  std::shared_ptr<obs::Counter> candidates_served =
+      NewCounter("snorkel_server_candidates_total");
+  std::shared_ptr<obs::Counter> queue_rejections =
+      NewCounter("snorkel_server_queue_rejections_total");
+  std::shared_ptr<obs::Counter> deadline_rejections =
+      NewCounter("snorkel_server_deadline_rejections_total");
+  std::shared_ptr<obs::Counter> snapshot_swaps =
+      NewCounter("snorkel_server_snapshot_swaps_total");
+  std::shared_ptr<obs::Counter> rejected_swaps =
+      NewCounter("snorkel_server_rejected_swaps_total");
+  std::shared_ptr<obs::Counter> expired_work_cancelled =
+      NewCounter("snorkel_server_expired_work_cancelled_total");
+  std::shared_ptr<obs::Counter> shed_total =
+      NewCounter("snorkel_server_shed_total");
 
   /// Fault sites this server armed (inject flags + kFaultRequest commands);
   /// disarmed on Shutdown so one server's schedules never leak into the
@@ -167,40 +142,37 @@ struct ShardServer::Impl {
   /// lifetime barrier for the `this` they capture).
   std::vector<uint64_t> metric_tokens;
 
+  /// Admission queue and label workers. Declared after everything its
+  /// serve function touches, so it drains and joins first.
+  std::unique_ptr<WorkerCore> workers;
+
   explicit Impl(Options opts, LabelingFunctionSet lf_set)
-      : options(opts),
-        lfs(std::move(lf_set)),
-        queue(BoundedQueueOptions{
-            opts.queue_capacity == 0 ? 1 : opts.queue_capacity,
-            opts.queue_cost_budget, opts.sojourn_target_ms}) {
+      : options(opts), lfs(std::move(lf_set)) {
     obs::RegisterCommonProcessMetrics();
     auto& registry = obs::MetricsRegistry::Default();
-    auto atomic_counter = [this, &registry](const char* name,
-                                            std::atomic<uint64_t>* value) {
-      metric_tokens.push_back(
-          registry.RegisterCallback(name, obs::MetricType::kCounter, [value] {
-            return static_cast<double>(
-                value->load(std::memory_order_relaxed));
-          }));
-    };
-    atomic_counter("snorkel_server_requests_total", &requests_served);
-    atomic_counter("snorkel_server_candidates_total", &candidates_served);
-    atomic_counter("snorkel_server_queue_rejections_total",
-                   &queue_rejections);
-    atomic_counter("snorkel_server_deadline_rejections_total",
-                   &deadline_rejections);
-    atomic_counter("snorkel_server_snapshot_swaps_total", &snapshot_swaps);
-    atomic_counter("snorkel_server_rejected_swaps_total", &rejected_swaps);
-    atomic_counter("snorkel_server_shed_total", &shed_total);
-    atomic_counter("snorkel_server_expired_work_cancelled_total",
-                   &expired_work_cancelled);
-    queue_wait_interactive = registry.CreateHistogram(
-        "snorkel_server_queue_wait_ms_interactive", obs::LatencyBucketsMs());
-    queue_wait_bulk = registry.CreateHistogram(
-        "snorkel_server_queue_wait_ms_bulk", obs::LatencyBucketsMs());
+    // Cost lanes, CoDel shedding and a deadline check at pop; no fusion
+    // (every job carries its own cancel token, so none would fuse anyway).
+    // Per-lane queue-wait histograms share the fabric latency buckets, so
+    // cross-process merges stay well defined; the registry has no label
+    // dimension, so the lane is encoded in the metric name.
+    workers = std::make_unique<WorkerCore>(WorkerCore::Config{
+        .queue = {opts.queue_capacity, opts.queue_cost_budget,
+                  opts.sojourn_target_ms},
+        .workers = opts.num_workers,
+        .queue_wait_span = "server.queue_wait",
+        .serve_span = "server.label",
+        .serve = [this](const LabelRequest& r) { return ServeLabel(r); },
+        .shed_jobs = shed_total,
+        .expired_jobs = deadline_rejections,
+        .queue_wait_ms = {registry.CreateHistogram(
+                              "snorkel_server_queue_wait_ms_interactive",
+                              obs::LatencyBucketsMs()),
+                          registry.CreateHistogram(
+                              "snorkel_server_queue_wait_ms_bulk",
+                              obs::LatencyBucketsMs())}});
     metric_tokens.push_back(registry.RegisterCallback(
         "snorkel_server_queue_cost_used", obs::MetricType::kGauge,
-        [this] { return static_cast<double>(queue.cost_used()); }));
+        [this] { return static_cast<double>(workers->cost_used()); }));
     metric_tokens.push_back(registry.RegisterCallback(
         "snorkel_server_snapshot_version", obs::MetricType::kGauge, [this] {
           // `state` is installed after construction; a scrape racing
@@ -244,124 +216,50 @@ struct ShardServer::Impl {
 
   // ---- Label path. ----
 
-  /// Fails every shed job typed — kResourceExhausted with a message naming
-  /// the shed reason — and counts it. Shed jobs were admitted, so their
-  /// connection handlers are blocked on the promise; nothing is dropped
-  /// silently.
-  void FailShed(std::vector<std::unique_ptr<Job>>& shed) {
-    for (std::unique_ptr<Job>& job : shed) {
-      shed_total.fetch_add(1, std::memory_order_relaxed);
-      job->result.set_value(Status::ResourceExhausted(
-          "shard shed queued work under overload"));
+  /// The worker core's serve function: one job's model pass on the
+  /// current generation.
+  Result<LabelResponse> ServeLabel(const LabelRequest& request) {
+    // Injection site "server.label": delay schedules sleep here and the
+    // request proceeds bit-identically (the inject_delay_* flags arm this);
+    // fail schedules reject the job with the typed error a dying replica
+    // would produce.
+    if (fault::Point("server.label")) {
+      return Status::Unavailable("injected fault at server.label");
     }
-    shed.clear();
-  }
-
-  void Worker() {
-    std::vector<std::unique_ptr<Job>> shed;
-    for (;;) {
-      auto job_opt = queue.Pop(&shed);
-      // CoDel-shed bulk jobs (sojourn past 2× target) fail typed before the
-      // popped job is served — stale queued work must not starve fresh work.
-      FailShed(shed);
-      if (!job_opt.has_value()) break;
-      std::unique_ptr<Job> job = std::move(*job_opt);
-      const auto popped_at = std::chrono::steady_clock::now();
-      const double wait_ms =
-          std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-              popped_at - job->admitted_at)
-              .count();
-      (job->interactive ? queue_wait_interactive : queue_wait_bulk)
-          ->Observe(wait_ms);
-      if (job->deadline != kNoDeadline && popped_at > job->deadline) {
-        deadline_rejections.fetch_add(1, std::memory_order_relaxed);
-        job->result.set_value(Status::DeadlineExceeded(
-            "request budget spent before a worker picked it up"));
-        continue;
-      }
-      // Injection site "server.label": delay schedules sleep here and the
-      // request proceeds bit-identically (the inject_delay_* flags arm
-      // this); fail schedules reject the job with the typed error a dying
-      // replica would produce.
-      if (fault::Point("server.label")) {
-        job->result.set_value(
-            Status::Unavailable("injected fault at server.label"));
-        continue;
-      }
-      // Queue wait is only measurable AFTER the pop — emit it
-      // retroactively from the admission timestamp.
-      if (job->admit_ns != 0) {
-        obs::EmitSpan(job->trace, "server.queue_wait", job->admit_ns,
-                      obs::NowNanos());
-      }
-      // Pin the current generation for the whole request: a concurrent
-      // hot-swap retires the old state only after this shared_ptr drops.
-      std::shared_ptr<ServingState> generation = CurrentState();
-      // Cooperative cancellation: the replica checks this token at chunk
-      // boundaries (between LF columns, every 64 rows) and stops computing
-      // when the deadline passes mid-flight — expired work must not keep
-      // burning CPU that admitted work needs. kNoDeadline is already the
-      // token's never-expires sentinel (both are time_point::max()).
-      CancelToken cancel(job->deadline);
-      LabelRequest request;
-      request.corpus = job->corpus.get();
-      request.candidate_refs = &job->refs;
-      request.include_votes = job->include_votes;
-      request.apply_class_balance = job->apply_class_balance;
-      request.cancel = &cancel;
-      Result<LabelResponse> response(Status::Internal("unset"));
-      const auto service_start = std::chrono::steady_clock::now();
-      {
-        // The request's identity rides onto this worker thread so the
-        // replica's own spans (LF apply, inference) nest under server.label.
-        obs::ScopedTraceContext trace_scope(job->trace);
-        obs::TraceSpan label_span("server.label");
-        label_span.Annotate("rows=" + std::to_string(job->refs.size()));
-        response = generation->service.Label(request);
-      }
-      if (response.ok()) {
-        requests_served.fetch_add(1, std::memory_order_relaxed);
-        candidates_served.fetch_add(job->refs.size(),
-                                    std::memory_order_relaxed);
-        // Calibrate the queue's cost model on COMPLETED work only —
-        // cancelled work finished early and would bias the EWMA low.
-        const uint64_t elapsed_us =
-            static_cast<uint64_t>(std::chrono::duration_cast<
-                                      std::chrono::microseconds>(
-                                      std::chrono::steady_clock::now() -
-                                      service_start)
-                                      .count());
-        queue.OnServiced(job->cost, elapsed_us);
-      } else if (response.status().code() == StatusCode::kDeadlineExceeded) {
-        expired_work_cancelled.fetch_add(1, std::memory_order_relaxed);
-      }
-      job->result.set_value(std::move(response));
+    // Pin the current generation for the whole request: a concurrent
+    // hot-swap retires the old state only after this shared_ptr drops.
+    std::shared_ptr<ServingState> generation = CurrentState();
+    Result<LabelResponse> response = generation->service.Label(request);
+    if (response.ok()) {
+      requests_served->Increment();
+      candidates_served->Increment(request.candidate_refs->size());
+    } else if (response.status().code() == StatusCode::kDeadlineExceeded) {
+      expired_work_cancelled->Increment();
     }
-    // Close() leaves admitted items drainable; a final Pop already returned
-    // nullopt, but CoDel may have shed on the way out — already failed above.
+    return response;
   }
 
   // ---- Connection handling. ----
 
-  Frame HandleStatsRequest(uint64_t request_id) {
+  /// One read of the counters for stats() and the stats RPC, whose two
+  /// structs carry the same fields.
+  template <typename StatsT>
+  StatsT ReadStats() const {
     std::shared_ptr<ServingState> generation = CurrentState();
-    WireServerStats stats;
+    StatsT stats;
     stats.snapshot_version = generation->version;
     stats.snapshot_checksum = generation->checksum;
-    stats.requests_served = requests_served.load(std::memory_order_relaxed);
-    stats.candidates_served =
-        candidates_served.load(std::memory_order_relaxed);
-    stats.queue_rejections = queue_rejections.load(std::memory_order_relaxed);
-    stats.snapshot_swaps = snapshot_swaps.load(std::memory_order_relaxed);
-    stats.deadline_rejections =
-        deadline_rejections.load(std::memory_order_relaxed);
-    stats.rejected_swaps = rejected_swaps.load(std::memory_order_relaxed);
     stats.cardinality = generation->service.cardinality();
+    stats.requests_served = requests_served->value();
+    stats.candidates_served = candidates_served->value();
+    stats.queue_rejections = queue_rejections->value();
+    stats.deadline_rejections = deadline_rejections->value();
+    stats.snapshot_swaps = snapshot_swaps->value();
+    stats.rejected_swaps = rejected_swaps->value();
     stats.faults_injected = fault::InjectedCount();
-    stats.expired_work_cancelled =
-        expired_work_cancelled.load(std::memory_order_relaxed);
-    stats.shed_total = shed_total.load(std::memory_order_relaxed);
-    return EncodeStatsResponse(request_id, stats);
+    stats.expired_work_cancelled = expired_work_cancelled->value();
+    stats.shed_total = shed_total->value();
+    return stats;
   }
 
   Frame HandleFaultRequest(const Frame& frame) {
@@ -406,15 +304,15 @@ struct ShardServer::Impl {
     obs::EmitSpan(wire->trace, "server.decode", decode_start_ns,
                   obs::NowNanos(),
                   "rows=" + std::to_string(wire->candidates.size()));
-
-    auto job = std::make_unique<Job>();
-    job->request_id = frame.request_id;
-    job->include_votes = wire->include_votes;
-    job->apply_class_balance = wire->apply_class_balance;
-    job->trace = wire->trace;
-    if (wire->deadline_ms > 0) {
-      job->deadline = DeadlineAfterMs(wire->deadline_ms);
-    }
+    // The budget runs from decode time. Cooperative cancellation: the
+    // replica checks this token at chunk boundaries (between LF columns,
+    // every 64 rows) and stops computing when the deadline passes
+    // mid-flight — expired work must not keep burning CPU that admitted
+    // work needs. kNoDeadline is already the token's never-expires sentinel
+    // (both are time_point::max()).
+    const CancelToken cancel(wire->deadline_ms > 0
+                                 ? DeadlineAfterMs(wire->deadline_ms)
+                                 : kNoDeadline);
 
     const FrameSection* corpus_section = frame.Find(kSectionCorpus);
     bool decoded_used = false;
@@ -424,82 +322,70 @@ struct ShardServer::Impl {
     if (!corpus.ok()) {
       return EncodeErrorFrame(frame.request_id, corpus.status());
     }
-    obs::EmitSpan(job->trace, "server.intern", intern_start_ns,
+    obs::EmitSpan(wire->trace, "server.intern", intern_start_ns,
                   obs::NowNanos(), decoded_used ? "cache=miss" : "cache=hit");
-    job->corpus = *corpus;
-    job->candidates = std::move(wire->candidates);
-    job->refs.reserve(job->candidates.size());
-    for (size_t i = 0; i < job->candidates.size(); ++i) {
-      job->refs.push_back(CandidateRef{&job->candidates[i],
-                                       static_cast<size_t>(wire->indices[i])});
+    // The job and everything it points at live on this handler's stack:
+    // the handler blocks below until a worker has finished with them.
+    std::vector<CandidateRef> refs;
+    refs.reserve(wire->candidates.size());
+    for (size_t i = 0; i < wire->candidates.size(); ++i) {
+      refs.push_back(CandidateRef{&wire->candidates[i],
+                                  static_cast<size_t>(wire->indices[i])});
     }
-
-    // Cost-aware admission: price the job (rows × LFs — proportional to the
-    // LF-application work it will consume) and lane it by size. Small
-    // batches ride the interactive lane: served first, shed last.
-    job->cost = static_cast<uint64_t>(job->refs.size()) *
-                static_cast<uint64_t>(std::max<size_t>(1, lfs.size()));
-    job->interactive = job->refs.size() <= options.interactive_rows;
-
     // A request whose budget is already spent must not consume a queue slot
     // another request could use — reject before admission, typed.
-    if (job->deadline != kNoDeadline &&
-        std::chrono::steady_clock::now() > job->deadline) {
-      deadline_rejections.fetch_add(1, std::memory_order_relaxed);
+    if (cancel.Expired()) {
+      deadline_rejections->Increment();
       return EncodeErrorFrame(
           frame.request_id,
           Status::DeadlineExceeded("request budget spent before admission"));
     }
 
-    std::future<Result<LabelResponse>> result = job->result.get_future();
-    const obs::TraceContext trace = job->trace;
-    job->admit_ns = trace.valid() ? obs::NowNanos() : 0;
-    job->admitted_at = std::chrono::steady_clock::now();
-    using Queue = BoundedQueue<std::unique_ptr<Job>>;
-    const uint64_t cost = job->cost;
-    const Queue::Lane lane =
-        job->interactive ? Queue::Lane::kInteractive : Queue::Lane::kBulk;
-    // An interactive arrival may displace queued bulk work; displaced jobs
-    // come back here and are failed typed below (their handlers hold the
-    // matching futures).
-    std::vector<std::unique_ptr<Job>> displaced;
-    const Queue::PushResult pushed =
-        queue.TryPush(std::move(job), cost, lane, &displaced);
-    FailShed(displaced);
-    switch (pushed) {
-      case Queue::PushResult::kOk:
+    Result<LabelResponse> response(Status::Internal("unset"));
+    RequestLatch latch;
+    WorkerJob job;
+    job.request.corpus = corpus->get();
+    job.request.candidate_refs = &refs;
+    job.request.include_votes = wire->include_votes;
+    job.request.apply_class_balance = wire->apply_class_balance;
+    job.request.cancel = &cancel;
+    // Cost-aware admission: price the job (rows × LFs — proportional to the
+    // LF-application work it will consume) and lane it by size. Small
+    // batches ride the interactive lane: served first, shed last.
+    job.cost = static_cast<uint64_t>(refs.size()) *
+               static_cast<uint64_t>(std::max<size_t>(1, lfs.size()));
+    job.interactive = refs.size() <= options.interactive_rows;
+    job.trace = wire->trace;
+    job.slot = &response;
+    job.latch = &latch;
+    // An interactive arrival may displace queued bulk work; the core fails
+    // displaced jobs typed (their handlers are waiting on their latches).
+    switch (workers->Submit(&job, /*block=*/false)) {
+      case WorkerCore::PushResult::kOk:
+        latch.Wait();
         break;
-      case Queue::PushResult::kQueueFull:
-        queue_rejections.fetch_add(1, std::memory_order_relaxed);
-        // The retry hint prices the queued backlog at the EWMA-calibrated
-        // service time, divided by worker parallelism — "come back when
-        // the backlog you bounced off has drained".
-        return EncodeErrorFrame(
-            frame.request_id,
-            Status::ResourceExhausted("shard admission queue is full"),
-            queue.EstimateRetryAfterMs(std::max<size_t>(1,
-                                                        options.num_workers)));
-      case Queue::PushResult::kClosed:
-        return EncodeErrorFrame(
-            frame.request_id,
-            Status::Unavailable("shard is shutting down"));
+      case WorkerCore::PushResult::kQueueFull:
+        queue_rejections->Increment();
+        response = Status::ResourceExhausted("shard admission queue is full");
+        break;
+      case WorkerCore::PushResult::kClosed:
+        response = Status::Unavailable("shard is shutting down");
+        break;
     }
-    Result<LabelResponse> response = result.get();
     if (!response.ok()) {
-      // Every kResourceExhausted outcome (queue-full above, displacement,
-      // CoDel shed) carries a backoff hint in the error frame — clients feed
-      // it to their adaptive limiter.
-      if (response.status().code() == StatusCode::kResourceExhausted) {
-        return EncodeErrorFrame(
-            frame.request_id, response.status(),
-            queue.EstimateRetryAfterMs(std::max<size_t>(1,
-                                                        options.num_workers)));
-      }
-      return EncodeErrorFrame(frame.request_id, response.status());
+      // Every kResourceExhausted outcome (queue full, displacement, CoDel
+      // shed) carries a backoff hint: the queued backlog priced at the
+      // EWMA-calibrated service time, divided by worker parallelism —
+      // clients feed it to their adaptive limiter.
+      const bool exhausted =
+          response.status().code() == StatusCode::kResourceExhausted;
+      return EncodeErrorFrame(frame.request_id, response.status(),
+                              exhausted ? workers->RetryAfterMs() : 0);
     }
     const uint64_t encode_start_ns = obs::NowNanos();
     Frame reply = EncodeLabelResponse(frame.request_id, *response);
-    obs::EmitSpan(trace, "server.encode", encode_start_ns, obs::NowNanos());
+    obs::EmitSpan(wire->trace, "server.encode", encode_start_ns,
+                  obs::NowNanos());
     return reply;
   }
 
@@ -527,7 +413,8 @@ struct ShardServer::Impl {
           reply.request_id = frame->request_id;
           break;
         case FrameType::kStatsRequest:
-          reply = HandleStatsRequest(frame->request_id);
+          reply = EncodeStatsResponse(frame->request_id,
+                                      ReadStats<WireServerStats>());
           break;
         case FrameType::kLabelRequest:
           reply = HandleLabelRequest(*frame);
@@ -611,7 +498,7 @@ struct ShardServer::Impl {
       if (!next.ok()) {
         // A bad artifact must not take the shard down: reject the swap,
         // keep serving the old generation, and don't retry this version.
-        rejected_swaps.fetch_add(1, std::memory_order_relaxed);
+        rejected_swaps->Increment();
         last_rejected = *current;
         continue;
       }
@@ -626,8 +513,25 @@ struct ShardServer::Impl {
           old = std::exchange(state, std::move(*next));
         }
       }
-      snapshot_swaps.fetch_add(1, std::memory_order_relaxed);
+      snapshot_swaps->Increment();
     }
+  }
+
+  /// Serves `state` on a new listener; store mode also watches `store`.
+  /// Listens first: building the Impl starts its label workers.
+  static Result<ShardServer> Launch(
+      const Options& options, const LabelingFunctionSet& lfs,
+      Result<std::shared_ptr<ServingState>> state,
+      std::optional<SnapshotStore> store) {
+    if (!state.ok()) return state.status();
+    auto listener = ListenSocket::Listen(options.port);
+    if (!listener.ok()) return listener.status();
+    auto impl = std::make_unique<Impl>(options, lfs);
+    impl->store = std::move(store);
+    impl->state = std::move(*state);
+    impl->listener = std::move(*listener);
+    impl->Start();
+    return ShardServer(std::move(impl));
   }
 
   void Start() {
@@ -641,9 +545,6 @@ struct ShardServer::Impl {
       delay.delay_ms = options.inject_delay_ms;
       (void)fault::Arm("server.label", delay);  // Validated above n >= 1.
       RememberArmedSite("server.label");
-    }
-    for (size_t i = 0; i < std::max<size_t>(1, options.num_workers); ++i) {
-      workers.emplace_back([this] { Worker(); });
     }
     accept_thread = std::thread([this] { AcceptLoop(); });
     if (store.has_value()) {
@@ -664,9 +565,7 @@ struct ShardServer::Impl {
       for (auto& handle : conn_threads) handle->thread.join();
       conn_threads.clear();
     }
-    queue.Close();
-    for (std::thread& worker : workers) worker.join();
-    workers.clear();
+    workers->Shutdown();
     // The fault registry is process-wide; schedules this server armed must
     // not outlive it (sequential in-process tests share the registry).
     {
@@ -688,16 +587,10 @@ ShardServer::~ShardServer() {
 Result<ShardServer> ShardServer::Serve(const std::string& snapshot_path,
                                        const LabelingFunctionSet& lfs,
                                        Options options) {
-  auto state = LoadServingState(snapshot_path, /*store_version=*/0, lfs,
-                                options.service);
-  if (!state.ok()) return state.status();
-  auto impl = std::make_unique<Impl>(options, lfs);
-  impl->state = std::move(*state);
-  auto listener = ListenSocket::Listen(options.port);
-  if (!listener.ok()) return listener.status();
-  impl->listener = std::move(*listener);
-  impl->Start();
-  return ShardServer(std::move(impl));
+  return Impl::Launch(options, lfs,
+                      LoadServingState(snapshot_path, /*store_version=*/0,
+                                       lfs, options.service),
+                      std::nullopt);
 }
 
 Result<ShardServer> ShardServer::ServeFromStore(const std::string& store_dir,
@@ -709,40 +602,13 @@ Result<ShardServer> ShardServer::ServeFromStore(const std::string& store_dir,
   if (!version.ok()) return version.status();
   auto state = LoadServingState(store->PathFor(*version), *version, lfs,
                                 options.service);
-  if (!state.ok()) return state.status();
-  auto impl = std::make_unique<Impl>(options, lfs);
-  impl->store = std::move(*store);
-  impl->state = std::move(*state);
-  auto listener = ListenSocket::Listen(options.port);
-  if (!listener.ok()) return listener.status();
-  impl->listener = std::move(*listener);
-  impl->Start();
-  return ShardServer(std::move(impl));
+  return Impl::Launch(options, lfs, std::move(state), std::move(*store));
 }
 
 uint16_t ShardServer::port() const { return impl_->listener.port(); }
 
 ShardServer::Stats ShardServer::stats() const {
-  Stats stats;
-  auto state = impl_->CurrentState();
-  stats.requests_served =
-      impl_->requests_served.load(std::memory_order_relaxed);
-  stats.candidates_served =
-      impl_->candidates_served.load(std::memory_order_relaxed);
-  stats.queue_rejections =
-      impl_->queue_rejections.load(std::memory_order_relaxed);
-  stats.deadline_rejections =
-      impl_->deadline_rejections.load(std::memory_order_relaxed);
-  stats.snapshot_swaps = impl_->snapshot_swaps.load(std::memory_order_relaxed);
-  stats.rejected_swaps = impl_->rejected_swaps.load(std::memory_order_relaxed);
-  stats.snapshot_version = state->version;
-  stats.snapshot_checksum = state->checksum;
-  stats.cardinality = state->service.cardinality();
-  stats.faults_injected = fault::InjectedCount();
-  stats.expired_work_cancelled =
-      impl_->expired_work_cancelled.load(std::memory_order_relaxed);
-  stats.shed_total = impl_->shed_total.load(std::memory_order_relaxed);
-  return stats;
+  return impl_->ReadStats<Stats>();
 }
 
 void ShardServer::Shutdown() { impl_->Shutdown(); }

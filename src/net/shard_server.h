@@ -15,12 +15,13 @@ namespace snorkel {
 /// behind a listening TCP socket speaking the net/wire.h frame protocol.
 ///
 ///   accept loop ── per-connection handler threads
-///        │            decode frame → BoundedQueue admission
+///        │            decode frame → worker core admission
+///        │            (shard/worker_core.h, shared with ShardRouter)
 ///        │                 │ (full → kResourceExhausted error frame,
 ///        │                 │  closed → kUnavailable — typed backpressure,
 ///        │                 │  never an unbounded in-memory queue)
 ///        │            worker threads: pop job, run the CURRENT replica,
-///        │            fulfil the connection's pending response
+///        │            release the waiting handler
 ///        └─ snapshot watcher (store mode): polls the SnapshotStore and
 ///           hot-swaps the replica to a newer artifact version with zero
 ///           downtime — in-flight requests keep the OLD service (and its

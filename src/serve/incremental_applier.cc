@@ -323,10 +323,10 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
   }
   // Salt with the corpus identity: LFs read corpus text the row hash does
   // not cover, so same-shaped candidate sets from DIFFERENT corpora must
-  // not share columns. (In-place corpus mutation still needs
-  // InvalidateAll(); the address cannot observe it.)
-  CandidateFingerprinter fingerprinter(
-      static_cast<uint64_t>(reinterpret_cast<uintptr_t>(&corpus)));
+  // not share columns. Corpus::identity() is fresh per object and bumped by
+  // every mutable access, so a corpus built at a freed corpus's address
+  // cannot alias its columns (the address could).
+  CandidateFingerprinter fingerprinter(corpus.identity());
   for (size_t i = 0; i < m; ++i) {
     fingerprinter.Add(rows.candidate(i), rows.index(i));
     auto checkpoint = chain_at.find(fingerprinter.count());

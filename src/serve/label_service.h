@@ -234,11 +234,11 @@ class LabelService {
   /// Snapshot of the cumulative serving counters.
   ServiceStats stats() const;
 
-  /// Drops every cached LF column. Call after reusing a corpus the cache
-  /// cannot observe changing — mutating one in place, or tearing one down
-  /// and allocating another at the same address (the cache scopes entries
-  /// by corpus identity, which address reuse defeats). Safe concurrently
-  /// with Label(); in-flight requests finish against their pinned entries.
+  /// Drops every cached LF column. The cache scopes entries by
+  /// Corpus::identity(), which every mutable access bumps, so this is only
+  /// needed after writing through a Document* kept from an earlier
+  /// mutable_document() call. Safe concurrently with Label(); in-flight
+  /// requests finish against their pinned entries.
   void InvalidateCache();
 
   /// The restored generative model (meaningful for binary services only).

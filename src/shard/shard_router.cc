@@ -3,107 +3,30 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
-#include <numeric>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "shard/routing_core.h"
-#include "util/bounded_queue.h"
+#include "shard/worker_core.h"
 
 namespace snorkel {
-
-namespace {
-
-/// Completion latch shared by all of one request's shard jobs: each worker
-/// writes its result slot and decrements; the caller sleeps until every
-/// admitted job has reported. One latch per request instead of one
-/// promise/future pair per shard job — a single caller wakeup and zero
-/// shared-state heap allocations on the per-request hot path.
-struct RequestLatch {
-  std::mutex mu;
-  std::condition_variable cv;
-  /// Jobs armed but not yet completed. Armed BEFORE each push (a worker can
-  /// complete a job before the push even returns) and un-armed if the push
-  /// is rejected; workers decrement on completion, so the count stays
-  /// consistent no matter how fan-out and completions interleave.
-  size_t remaining = 0;
-
-  void Arm() {
-    std::lock_guard<std::mutex> lock(mu);
-    ++remaining;
-  }
-
-  /// Reverts an Arm() whose push was not admitted.
-  void Disarm() {
-    std::lock_guard<std::mutex> lock(mu);
-    --remaining;
-  }
-
-  void Complete() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (--remaining == 0) cv.notify_one();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return remaining == 0; });
-  }
-};
-
-/// One shard-bound unit of work: a borrowed, zero-copy ref sub-batch plus
-/// the request flags it must be served under. EVERYTHING the job points at
-/// (corpus, rows, cancel token, slot, latch) is owned by the caller's
-/// Label() frame — which is why the router always waits for every admitted
-/// job, even on a rejected or failed request, before returning.
-struct ShardJob {
-  const Corpus* corpus = nullptr;
-  const std::vector<CandidateRef>* rows = nullptr;
-  bool include_votes = false;
-  bool apply_class_balance = true;
-  /// The request's cancellation token, carried into the replica call.
-  const CancelToken* cancel = nullptr;
-  /// Where the worker writes this job's result (caller-owned, stable).
-  Result<LabelResponse>* slot = nullptr;
-  RequestLatch* latch = nullptr;
-  /// Trace identity carried across the queue hop (zero when untraced) and
-  /// the admission timestamp the worker turns into a queue-wait span.
-  obs::TraceContext trace_ctx;
-  uint64_t admit_ns = 0;
-
-  void Finish(Result<LabelResponse> result) {
-    *slot = std::move(result);
-    latch->Complete();
-  }
-};
-
-/// Jobs fuse only under the same token, so one request's expiry cannot
-/// cancel another request's rows.
-bool Fusable(const ShardJob& a, const ShardJob& b) {
-  return a.corpus == b.corpus &&
-         a.apply_class_balance == b.apply_class_balance &&
-         a.cancel == b.cancel;
-}
-
-
-}  // namespace
 
 struct ShardRouter::Impl {
   struct Shard {
     std::unique_ptr<LabelService> replica;
-    std::unique_ptr<BoundedQueue<ShardJob>> queue;
-    std::vector<std::thread> workers;
+    /// Declared after the replica its serve function calls, so it drains
+    /// and joins first.
+    std::unique_ptr<WorkerCore> workers;
   };
 
   Options options;
   /// Validation, partitioning, failure policy, merge and request counters.
   RoutingCore core;
+  /// Admission price per candidate row: the LF count.
+  uint64_t cost_per_row = 1;
   std::vector<Shard> shards;
-  std::atomic<bool> shutdown{false};
-  std::once_flag shutdown_once;
 
   std::shared_ptr<obs::Counter> fused_jobs;
   /// High-water gauge, atomic so the admission hot path takes no lock.
@@ -131,7 +54,8 @@ struct ShardRouter::Impl {
                                  "snorkel_router_failed_total",
                                  "snorkel_router_degraded_total",
                                  "snorkel_router_rejected_total",
-                                 /*placement_span=*/nullptr}) {
+                                 /*placement_span=*/nullptr}),
+        cost_per_row(std::max<size_t>(1, lf_count)) {
     auto& registry = obs::MetricsRegistry::Default();
     fused_jobs = registry.CreateCounter("snorkel_router_fused_jobs_total");
     queue_depth_token = registry.RegisterCallback(
@@ -147,16 +71,30 @@ struct ShardRouter::Impl {
     obs::MetricsRegistry::Default().UnregisterCallback(queue_depth_token);
   }
 
+  /// One shard's worker core: count-bounded admission (every job in the
+  /// interactive lane, no cost budget, no sojourn target) and burst fusion
+  /// up to max_fuse.
+  std::unique_ptr<WorkerCore> MakeWorkers(LabelService* replica) const {
+    return std::make_unique<WorkerCore>(WorkerCore::Config{
+        .queue = {options.queue_capacity, 0, 0},
+        .workers = options.workers_per_shard,
+        .max_fuse = options.max_fuse,
+        .queue_wait_span = "shard.queue_wait",
+        .serve_span = "shard.serve",
+        .serve = [replica](const LabelRequest& r) { return replica->Label(r); },
+        .fused_jobs = fused_jobs});
+  }
+
   Status QueueFull(size_t shard) const {
     return Status::ResourceExhausted(
         "shard " + std::to_string(shard) + "/" +
         std::to_string(shards.size()) + " queue full (capacity " +
-        std::to_string(shards[shard].queue->capacity()) +
+        std::to_string(shards[shard].workers->capacity()) +
         "); request rejected");
   }
 
-  /// The local backend: admits one job per sub-batch into its shard's
-  /// bounded queue and waits for the workers to fill every admitted slot.
+  /// The local backend: submits one job per sub-batch to its shard's
+  /// worker core and waits for the workers to fill every admitted slot.
   ///
   /// Reject policy: admission is per-shard, not transactional — a request
   /// rejected at shard s has already committed its sub-batches to shards
@@ -167,47 +105,39 @@ struct ShardRouter::Impl {
   /// per-shard rejection below still backstops it. allow_partial requests
   /// skip the probe: a full queue degrades that shard's rows instead.
   Status Admit(const LabelRequest& request, std::vector<SubBatch>& batches) {
-    if (shutdown.load(std::memory_order_acquire)) {
-      return Status::FailedPrecondition("router is shut down");
-    }
     if (!options.block_on_full && !request.allow_partial) {
       for (const SubBatch& batch : batches) {
-        const auto& queue = *shards[batch.shard].queue;
-        if (queue.size() >= queue.capacity()) {
+        const WorkerCore& workers = *shards[batch.shard].workers;
+        if (workers.depth() >= workers.capacity()) {
           core.CountRejected();
           return QueueFull(batch.shard);
         }
       }
     }
-    // All jobs share one completion latch; the slots live in `batches`,
-    // whose addresses stay stable while workers hold them.
+    // All jobs share one completion latch; the jobs and their slots (in
+    // `batches`) stay put while workers hold them.
     RequestLatch latch;
-    size_t admitted = 0;
+    std::vector<WorkerJob> jobs(batches.size());
+    const obs::TraceContext trace = obs::CurrentTraceContext();
     Status admit = Status::OK();
-    for (SubBatch& batch : batches) {
-      ShardJob job;
-      job.corpus = request.corpus;
-      job.rows = batch.rows;
-      job.include_votes = request.include_votes;
-      job.apply_class_balance = request.apply_class_balance;
-      job.cancel = request.cancel;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      SubBatch& batch = batches[b];
+      WorkerJob& job = jobs[b];
+      job.request = request;  // Flags and token; the rows are this shard's.
+      job.request.candidates = nullptr;
+      job.request.candidate_refs = batch.rows;
+      job.cost = batch.rows->size() * cost_per_row;
+      job.trace = trace;
       job.slot = &batch.result;
       job.latch = &latch;
-      job.trace_ctx = obs::CurrentTraceContext();
-      job.admit_ns = job.trace_ctx.valid() ? obs::NowNanos() : 0;
-      latch.Arm();  // A worker may Complete() before the push even returns.
-      auto& queue = *shards[batch.shard].queue;
-      using PushResult = BoundedQueue<ShardJob>::PushResult;
-      PushResult pushed = options.block_on_full
-                              ? queue.Push(std::move(job))
-                              : queue.TryPush(std::move(job));
-      if (pushed == PushResult::kOk) {
-        ++admitted;
-        RecordQueueDepth(queue.size());
+      WorkerCore& workers = *shards[batch.shard].workers;
+      const WorkerCore::PushResult pushed =
+          workers.Submit(&job, options.block_on_full);
+      if (pushed == WorkerCore::PushResult::kOk) {
+        RecordQueueDepth(workers.depth());
         continue;
       }
-      latch.Disarm();  // Not consumed.
-      if (pushed == PushResult::kClosed) {
+      if (pushed == WorkerCore::PushResult::kClosed) {
         admit = Status::FailedPrecondition("router is shut down");
         break;
       }
@@ -217,152 +147,14 @@ struct ShardRouter::Impl {
       }
       // Degrade just this shard's rows; keep admitting the rest.
       batch.result = Status::ResourceExhausted(
-          "queue full (capacity " + std::to_string(queue.capacity()) + ")");
+          "queue full (capacity " + std::to_string(workers.capacity()) + ")");
     }
-    // Always wait for EVERY admitted job: enqueued sub-batches reference
-    // the caller's corpus, latch, and slots, so even a rejected request
-    // must not race its own workers.
-    if (admitted > 0) latch.Wait();
+    // Always wait for EVERY admitted job: queued jobs reference the
+    // caller's corpus, latch, and slots, so even a rejected request must
+    // not race its own workers.
+    latch.Wait();
     if (admit.code() == StatusCode::kResourceExhausted) core.CountRejected();
     return admit;
-  }
-
-  /// Turns a job's admission timestamp into a queue-wait span and installs
-  /// its trace identity on the worker thread for the replica call.
-  static void EmitQueueWait(const ShardJob& job) {
-    if (!job.trace_ctx.valid()) return;
-    obs::EmitSpan(job.trace_ctx, "shard.queue_wait", job.admit_ns,
-                  obs::NowNanos());
-  }
-
-  void ServeOne(Shard& shard, ShardJob& job) {
-    EmitQueueWait(job);
-    obs::ScopedTraceContext ctx(job.trace_ctx);
-    LabelRequest request;
-    request.corpus = job.corpus;
-    request.candidate_refs = job.rows;
-    request.include_votes = job.include_votes;
-    request.apply_class_balance = job.apply_class_balance;
-    request.cancel = job.cancel;
-    // The span must close before Finish unblocks the caller and before the
-    // flush, or a drain right after Label() returns misses shard.serve.
-    Result<LabelResponse> response(Status::Internal("unset"));
-    {
-      obs::TraceSpan span("shard.serve");
-      response = shard.replica->Label(request);
-    }
-    obs::FlushThreadSpans();
-    job.Finish(std::move(response));
-  }
-
-  /// Serves a run of queued jobs, fusing consecutive compatible sub-batches
-  /// into one model pass. Correctness relies on every per-row stage being
-  /// content-pure (LF votes per candidate, WeightedRowSums per row,
-  /// SigmoidBatch per element): concatenating sub-batches changes only how
-  /// much work one pass does, never any row's bits.
-  void ServeRun(Shard& shard, std::vector<ShardJob>& run) {
-    size_t begin = 0;
-    while (begin < run.size()) {
-      size_t end = begin + 1;
-      while (end < run.size() && Fusable(run[begin], run[end])) ++end;
-      if (end - begin == 1) {
-        ServeOne(shard, run[begin]);
-      } else {
-        ServeFused(shard, run, begin, end);
-      }
-      begin = end;
-    }
-  }
-
-  void ServeFused(Shard& shard, std::vector<ShardJob>& run, size_t begin,
-                  size_t end) {
-    size_t total = 0;
-    bool any_votes = false;
-    for (size_t g = begin; g < end; ++g) {
-      total += run[g].rows->size();
-      any_votes = any_votes || run[g].include_votes;
-    }
-    // Concatenating refs is 16 bytes per row — the fused pass never copies
-    // a candidate.
-    std::vector<CandidateRef> fused;
-    fused.reserve(total);
-    for (size_t g = begin; g < end; ++g) {
-      fused.insert(fused.end(), run[g].rows->begin(), run[g].rows->end());
-    }
-    LabelRequest request;
-    request.corpus = run[begin].corpus;
-    request.candidate_refs = &fused;
-    request.include_votes = any_votes;
-    request.apply_class_balance = run[begin].apply_class_balance;
-    request.cancel = run[begin].cancel;
-    // Each fused job gets its own queue-wait span; the single model pass
-    // is attributed to the first job's trace (annotated with the fuse
-    // width so the others' traces aren't silently missing time).
-    for (size_t g = begin; g < end; ++g) EmitQueueWait(run[g]);
-    Result<LabelResponse> response(Status::Internal("unset"));
-    {
-      obs::ScopedTraceContext ctx(run[begin].trace_ctx);
-      {
-        obs::TraceSpan span("shard.serve");
-        if (span.active()) {
-          span.Annotate("fused=" + std::to_string(end - begin));
-        }
-        response = shard.replica->Label(request);
-      }
-      obs::FlushThreadSpans();
-    }
-    if (!response.ok()) {
-      // Isolate the failure: one poisoned sub-batch must not fail the
-      // unrelated requests that happened to be fused with it.
-      for (size_t g = begin; g < end; ++g) ServeOne(shard, run[g]);
-      return;
-    }
-    size_t offset = 0;
-    const size_t k = static_cast<size_t>(response->cardinality);
-    for (size_t g = begin; g < end; ++g) {
-      ShardJob& job = run[g];
-      size_t n = job.rows->size();
-      LabelResponse out;
-      out.cardinality = response->cardinality;
-      if (!response->posteriors.empty()) {
-        out.posteriors.assign(response->posteriors.begin() + offset,
-                              response->posteriors.begin() + offset + n);
-      }
-      out.hard_labels.assign(response->hard_labels.begin() + offset,
-                             response->hard_labels.begin() + offset + n);
-      if (!response->class_posteriors.empty()) {
-        // K-class rows are k doubles wide; slicing a fused pass cannot
-        // change a row's bits (the E-step kernel is row-pure).
-        out.class_posteriors.assign(
-            response->class_posteriors.begin() + offset * k,
-            response->class_posteriors.begin() + (offset + n) * k);
-      }
-      if (job.include_votes) {
-        std::vector<size_t> rows(n);
-        std::iota(rows.begin(), rows.end(), offset);
-        out.votes = response->votes.SelectRows(rows);
-      }
-      out.latency_ms = response->latency_ms;
-      job.Finish(std::move(out));
-      offset += n;
-    }
-    fused_jobs->Increment((end - begin) - 1);
-  }
-
-  void WorkerLoop(size_t shard_index) {
-    Shard& shard = shards[shard_index];
-    while (auto first = shard.queue->Pop()) {
-      std::vector<ShardJob> run;
-      run.push_back(std::move(*first));
-      // Coalesce whatever burst is already queued (bounded by max_fuse);
-      // never wait for more traffic.
-      while (run.size() < std::max<size_t>(1, options.max_fuse)) {
-        auto next = shard.queue->TryPop();
-        if (!next) break;
-        run.push_back(std::move(*next));
-      }
-      ServeRun(shard, run);
-    }
   }
 };
 
@@ -371,8 +163,7 @@ ShardRouter::ShardRouter(std::unique_ptr<Impl> impl)
 
 ShardRouter& ShardRouter::operator=(ShardRouter&& other) {
   if (this != &other) {
-    // A defaulted move would destroy a live Impl with joinable workers
-    // (std::terminate) — drain and join this tier before adopting other's.
+    // Drain and join this tier before adopting other's.
     Shutdown();
     impl_ = std::move(other.impl_);
   }
@@ -397,17 +188,8 @@ Result<ShardRouter> ShardRouter::Create(const ModelSnapshot& snapshot,
     if (!replica.ok()) return replica.status();
     impl->shards[s].replica =
         std::make_unique<LabelService>(std::move(*replica));
-    impl->shards[s].queue =
-        std::make_unique<BoundedQueue<ShardJob>>(options.queue_capacity);
-  }
-  // Workers start only after every shard is fully constructed (WorkerLoop
-  // indexes impl->shards).
-  size_t workers = std::max<size_t>(1, options.workers_per_shard);
-  for (size_t s = 0; s < options.num_shards; ++s) {
-    for (size_t w = 0; w < workers; ++w) {
-      impl->shards[s].workers.emplace_back(
-          [raw = impl.get(), s] { raw->WorkerLoop(s); });
-    }
+    impl->shards[s].workers =
+        impl->MakeWorkers(impl->shards[s].replica.get());
   }
   return ShardRouter(std::move(impl));
 }
@@ -423,15 +205,7 @@ Result<ShardRouter> ShardRouter::FromFile(const std::string& path,
 
 void ShardRouter::Shutdown() {
   if (impl_ == nullptr) return;  // Moved-from.
-  std::call_once(impl_->shutdown_once, [this] {
-    impl_->shutdown.store(true, std::memory_order_release);
-    for (auto& shard : impl_->shards) shard.queue->Close();
-    for (auto& shard : impl_->shards) {
-      for (auto& worker : shard.workers) {
-        if (worker.joinable()) worker.join();
-      }
-    }
-  });
+  for (auto& shard : impl_->shards) shard.workers->Shutdown();
 }
 
 Result<LabelResponse> ShardRouter::Label(const LabelRequest& request) {
@@ -486,7 +260,7 @@ RouterStats ShardRouter::stats() const {
     out.snapshot_checksum = impl.shards[0].replica->snapshot_checksum();
   }
   for (const auto& shard : impl.shards) {
-    out.queue_depth += shard.queue->size();
+    out.queue_depth += shard.workers->depth();
     out.per_shard.push_back(shard.replica->stats());
     const ServiceStats& replica = out.per_shard.back();
     out.lf_columns_reused += replica.lf_columns_reused;

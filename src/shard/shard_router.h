@@ -71,16 +71,17 @@ struct RouterStats {
 ///   Label(request)
 ///     └─ CandidatePartitioner: hash-split candidates into per-shard
 ///        sub-batches by stable content key
-///     └─ BoundedQueue per shard: admission with explicit backpressure —
-///        block until space, or typed kResourceExhausted rejection
-///     └─ dedicated worker threads per shard: pop sub-batches, coalesce
-///        bursts into fused model passes, run the shard's replica
+///     └─ a worker core per shard (shard/worker_core.h): bounded
+///        admission with explicit backpressure — block until space, or
+///        typed kResourceExhausted rejection — and dedicated worker threads
+///        that coalesce bursts into fused model passes on the replica
 ///     └─ merge: responses reassembled into request order
 ///
 /// Validation, partitioning, the failure policy, the merge and the request
 /// counters are the routing core RemoteShardRouter shares
-/// (shard/routing_core.h); this class supplies only the local backend —
-/// bounded-queue admission and burst-fused workers.
+/// (shard/routing_core.h); the admission queue and workers are the worker
+/// core ShardServer shares. This class supplies only the replicas, the
+/// block/reject policy and its rejection message.
 ///
 /// Guarantees:
 ///  - Posteriors (the binary scalar AND the K-class per-row class

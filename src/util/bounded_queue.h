@@ -15,15 +15,14 @@
 
 namespace snorkel {
 
-/// Admission configuration for the cost-aware mode of BoundedQueue. The
-/// defaults reproduce the original count-only queue exactly; turning either
-/// knob on adds overload control without changing the legacy API.
+/// Admission configuration of a BoundedQueue.
 struct BoundedQueueOptions {
-  /// Item-count capacity (clamped to >= 1), exactly as before.
+  /// Item-count capacity (clamped to >= 1).
   size_t capacity = 1;
   /// Budget of estimated cost units queued at once; 0 = no cost admission
-  /// (count-only). Cost units are caller-defined (the shard server uses
-  /// rows × LFs) and calibrated against wall clock via OnServiced().
+  /// (the count bound alone). Cost units are caller-defined (the worker
+  /// core's callers use rows × LFs) and calibrated against wall clock via
+  /// OnServiced().
   uint64_t cost_budget = 0;
   /// CoDel-style shedding target: a BULK item popped after sojourning more
   /// than 2× this many milliseconds is shed (handed back to the consumer to
@@ -34,27 +33,27 @@ struct BoundedQueueOptions {
 };
 
 /// A bounded multi-producer / multi-consumer queue with explicit
-/// backpressure — the admission primitive of the sharded serving tier
-/// (shard/shard_router.h, net/shard_server.cc). Capacity is a hard bound:
-/// producers either block until space frees up (`Push`) or get a typed
-/// `kQueueFull` rejection (`TryPush`) so the caller can shed load instead of
-/// queueing unboundedly.
+/// backpressure — the admission primitive of the shard worker core
+/// (shard/worker_core.h). Capacity is a hard bound: producers either block
+/// until space frees up (`Push`) or get a typed `kQueueFull` rejection
+/// (`TryPush`) so the caller can shed load instead of queueing unboundedly.
 ///
 /// On top of the count bound the queue optionally admits against a COST
-/// budget with two priority lanes (BoundedQueueOptions): each costed item
-/// carries an estimated cost, interactive items are served before bulk, and
-/// when an interactive arrival finds the budget (or count) exhausted it
-/// displaces queued BULK items — bulk shed first, never the reverse. Shed
-/// items are returned to the caller (never silently dropped) so their
-/// owners can fail them typed with a retry hint. An EWMA of observed
-/// service time per cost unit (OnServiced) turns the queued cost into a
-/// `retry_after` estimate for rejections.
+/// budget with two priority lanes (BoundedQueueOptions): each item carries
+/// an estimated cost, interactive items are served before bulk, and when an
+/// interactive arrival finds the budget (or count) exhausted it displaces
+/// queued BULK items — bulk shed first, never the reverse. Shed items are
+/// returned to the caller (never silently dropped) so their owners can fail
+/// them typed with a retry hint. An EWMA of observed service time per cost
+/// unit (OnServiced) turns the queued cost into a `retry_after` estimate
+/// for rejections. With no budget, no sojourn target and every item in the
+/// interactive lane, the queue is a plain count-bounded FIFO.
 ///
 /// Shutdown is two-phase: `Close()` refuses every subsequent push (and wakes
 /// blocked producers with `kClosed`) while consumers keep draining whatever
 /// was admitted; once the queue is empty, `Pop` returns nullopt and workers
 /// exit. Nothing admitted is ever dropped without being handed back — the
-/// clean-drain contract the router's shutdown path relies on.
+/// clean-drain contract the worker core's shutdown relies on.
 template <typename T>
 class BoundedQueue {
  public:
@@ -70,10 +69,7 @@ class BoundedQueue {
   /// items are served first and shed last; bulk items absorb displacement.
   enum class Lane : uint8_t { kInteractive = 0, kBulk = 1 };
 
-  /// `capacity` is clamped to at least 1 (count-only legacy mode).
-  explicit BoundedQueue(size_t capacity)
-      : BoundedQueue(BoundedQueueOptions{capacity, 0, 0}) {}
-
+  /// `options.capacity` is clamped to at least 1.
   explicit BoundedQueue(const BoundedQueueOptions& options)
       : options_(options) {
     if (options_.capacity == 0) options_.capacity = 1;
@@ -82,30 +78,18 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks while the queue is full; moves from `item` only on kOk.
-  /// Count-based legacy admission (interactive lane, zero cost).
-  PushResult Push(T&& item) {
+  /// Blocking admission: waits while the item does not fit the count
+  /// capacity and cost budget; never displaces anything. Moves from `item`
+  /// only on kOk.
+  PushResult Push(T&& item, uint64_t cost, Lane lane) {
     std::unique_lock<std::mutex> lock(mu_);
-    while (!closed_ && count() >= options_.capacity) {
+    while (!closed_ && !Fits(count(), cost_used_, cost)) {
       ++waiting_producers_;
       not_full_.wait(lock);
       --waiting_producers_;
     }
     if (closed_) return PushResult::kClosed;
-    Enqueue(std::move(item), 0, Lane::kInteractive);
-    return PushResult::kOk;
-  }
-
-  /// Non-blocking count-based admission; moves from `item` only on kOk.
-  PushResult TryPush(T&& item) {
-    // Injection site "queue.admit": an injected fault is a capacity
-    // rejection — the same typed backpressure a genuinely full queue
-    // produces (the item is NOT consumed).
-    if (fault::Point("queue.admit")) return PushResult::kQueueFull;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return PushResult::kClosed;
-    if (count() >= options_.capacity) return PushResult::kQueueFull;
-    Enqueue(std::move(item), 0, Lane::kInteractive);
+    Enqueue(std::move(item), cost, lane);
     return PushResult::kOk;
   }
 
@@ -118,34 +102,26 @@ class BoundedQueue {
   /// when it actually makes room (no vain shedding).
   PushResult TryPush(T&& item, uint64_t cost, Lane lane,
                      std::vector<T>* shed) {
+    // Injection site "queue.admit": an injected fault is a capacity
+    // rejection — the same typed backpressure a genuinely full queue
+    // produces (the item is NOT consumed).
     if (fault::Point("queue.admit")) return PushResult::kQueueFull;
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return PushResult::kClosed;
-    auto fits = [&] {
-      if (count() >= options_.capacity) return false;
-      if (options_.cost_budget > 0 && cost_used_ > 0 &&
-          cost_used_ + cost > options_.cost_budget) {
-        return false;
-      }
-      return true;
-    };
-    if (!fits()) {
+    if (!Fits(count(), cost_used_, cost)) {
       if (lane != Lane::kInteractive) return PushResult::kQueueFull;
       // Would displacing EVERY queued bulk item make room? If not, reject
       // without shedding work that cannot help (an arrival too large for
       // the budget must not vaporize the bulk lane for nothing).
       uint64_t bulk_cost = 0;
       for (const Slot& slot : lanes_[1]) bulk_cost += slot.cost;
-      const uint64_t cost_without_bulk = cost_used_ - bulk_cost;
-      const bool could_fit =
-          lanes_[0].size() < options_.capacity &&
-          !(options_.cost_budget > 0 && cost_without_bulk > 0 &&
-            cost_without_bulk + cost > options_.cost_budget);
-      if (!could_fit) return PushResult::kQueueFull;
+      if (!Fits(lanes_[0].size(), cost_used_ - bulk_cost, cost)) {
+        return PushResult::kQueueFull;
+      }
       // Bulk-shed-first displacement: drop the oldest queued bulk work to
       // make room for interactive work, handing each victim back to the
       // caller to fail typed. Interactive never displaces interactive.
-      while (!fits()) {
+      while (!Fits(count(), cost_used_, cost)) {
         Slot victim = std::move(lanes_[1].front());
         lanes_[1].pop_front();
         cost_used_ -= victim.cost;
@@ -159,13 +135,10 @@ class BoundedQueue {
 
   /// Blocks until an item is available or the queue is closed AND drained
   /// (then returns nullopt — the consumer's exit signal). Interactive items
-  /// are served before bulk.
-  std::optional<T> Pop() { return Pop(nullptr); }
-
-  /// Same, with CoDel-style shedding: a bulk item whose sojourn exceeded
-  /// 2× the configured target when popped is appended to `*shed` (for the
-  /// caller to fail typed) and the next item is popped instead. Items are
-  /// never shed without being handed back.
+  /// are served before bulk. CoDel-style shedding: a bulk item whose sojourn
+  /// exceeded 2× the configured target when popped is appended to `*shed`
+  /// (non-null) for the caller to fail typed, and the next item is popped
+  /// instead. Items are never shed without being handed back.
   std::optional<T> Pop(std::vector<T>* shed) {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
@@ -176,7 +149,7 @@ class BoundedQueue {
       }
       if (count() == 0) return std::nullopt;
       Slot slot = Dequeue();
-      if (shed != nullptr && ShouldShed(slot)) {
+      if (ShouldShed(slot)) {
         shed->push_back(std::move(slot.value));
         continue;
       }
@@ -185,8 +158,8 @@ class BoundedQueue {
   }
 
   /// Non-blocking pop; nullopt when currently empty (closed or not). The
-  /// router's workers use this to coalesce a run of queued jobs into one
-  /// fused model pass without ever waiting for more traffic.
+  /// worker core uses this to coalesce a run of queued jobs into one fused
+  /// model pass without ever waiting for more traffic.
   std::optional<T> TryPop() {
     std::lock_guard<std::mutex> lock(mu_);
     if (count() == 0) return std::nullopt;
@@ -215,7 +188,7 @@ class BoundedQueue {
 
   size_t capacity() const { return options_.capacity; }
 
-  /// Cost units currently queued (0 in count-only use).
+  /// Cost units currently queued.
   uint64_t cost_used() const {
     std::lock_guard<std::mutex> lock(mu_);
     return cost_used_;
@@ -240,8 +213,9 @@ class BoundedQueue {
   uint64_t EstimateRetryAfterMs(uint64_t divisor = 1) const {
     std::lock_guard<std::mutex> lock(mu_);
     if (divisor == 0) divisor = 1;
-    // Before any calibration sample, price each queued cost unit (or, in
-    // count-only use, each queued item) at 1 ms — deliberately conservative.
+    // Before any calibration sample, price each queued cost unit (or, with
+    // zero-cost items, each queued item) at 1 ms — deliberately
+    // conservative.
     double backlog = cost_used_ > 0 ? static_cast<double>(cost_used_)
                                     : static_cast<double>(count());
     double per_unit_us =
@@ -263,6 +237,15 @@ class BoundedQueue {
   // Callers hold mu_ for everything below.
 
   size_t count() const { return lanes_[0].size() + lanes_[1].size(); }
+
+  /// Whether an item of `cost` fits beside `items` queued items holding
+  /// `used` cost units. An empty budget admits even an over-budget item, so
+  /// a single large item can always be served.
+  bool Fits(size_t items, uint64_t used, uint64_t cost) const {
+    if (items >= options_.capacity) return false;
+    return options_.cost_budget == 0 || used == 0 ||
+           used + cost <= options_.cost_budget;
+  }
 
   void Enqueue(T&& item, uint64_t cost, Lane lane) {
     lanes_[static_cast<size_t>(lane)].push_back(

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -489,6 +490,48 @@ TEST(IncrementalApplierTest, SameShapedSetsFromDifferentCorporaDoNotCollide) {
   EXPECT_EQ(original->At(0, 0), 1);
   EXPECT_EQ(swapped->At(0, 0), kAbstain);
   EXPECT_EQ(swapped->At(0, 1), -1);
+}
+
+TEST(IncrementalApplierTest, CorpusRebuiltAtAFreedAddressDoesNotAlias) {
+  // A corpus freed and rebuilt in the same storage lands at the same
+  // address. Columns are keyed on Corpus::identity(), which the rebuild
+  // renews, so the rebuilt corpus must not be served the old one's votes.
+  auto make_corpus = [](const std::string& verb) {
+    Sentence s;
+    s.words = {"magnesium", verb, "quadriplegia"};
+    s.mentions = {Mention{0, 1, "chemical", "C0"},
+                  Mention{2, 3, "disease", "D0"}};
+    Document doc;
+    doc.sentences = {s};
+    Corpus corpus;
+    corpus.AddDocument(std::move(doc));
+    return corpus;
+  };
+  LabelingFunctionSet lfs;
+  lfs.Add(MakeKeywordBetweenLF("kw", {"causes"}, 1, false));
+
+  std::optional<Corpus> corpus;
+  corpus.emplace(make_corpus("causes"));
+  const Corpus* first_address = &*corpus;
+  const std::vector<Candidate> candidates =
+      CandidateExtractor("chemical", "disease").Extract(*corpus);
+  ASSERT_EQ(candidates.size(), 1u);
+  IncrementalApplier applier;
+  auto causes = applier.Apply(lfs, *corpus, candidates);
+  ASSERT_TRUE(causes.ok()) << causes.status().ToString();
+  EXPECT_EQ(causes->At(0, 0), 1);
+
+  corpus.reset();
+  corpus.emplace(make_corpus("treats"));
+  ASSERT_EQ(&*corpus, first_address);
+  auto treats = applier.Apply(lfs, *corpus, candidates);
+  ASSERT_TRUE(treats.ok()) << treats.status().ToString();
+  auto fresh = IncrementalApplier().Apply(lfs, *corpus, candidates);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->At(0, 0), kAbstain);
+  EXPECT_EQ(treats->At(0, 0), fresh->At(0, 0));
+  EXPECT_EQ(applier.stats().set_hits, 0u);
+  EXPECT_EQ(applier.stats().columns_reused, 0u);
 }
 
 TEST(IncrementalApplierTest, ThrowingLfFailsClaimsWithoutWedgingTheSet) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <set>
 #include <string>
@@ -1030,6 +1031,110 @@ TEST(ShardRouterTest, FusionNeverMixesCancelTokens) {
   ASSERT_FALSE(expiring.ok());
   EXPECT_EQ(expiring.status().code(), StatusCode::kDeadlineExceeded)
       << expiring.status().ToString();
+  EXPECT_EQ(router->stats().fused_jobs, 0u);
+}
+
+TEST(ShardRouterTest, FusedPassFailureIsolatesThePoisonedJob) {
+  ShardFixture fx(64);
+  ModelSnapshot snapshot = fx.MakeSnapshot(MakeSwappableLfs(NormalCauses));
+  // lf_causes parks the worker on C0 while `hold` is set (so two requests
+  // line up behind it and fuse) and votes out of range on the poisoned
+  // candidate, which fails any model pass that includes it.
+  const std::string poisoned_id = fx.candidates[5].span1.canonical_id;
+  std::atomic<bool> hold{true};
+  std::atomic<bool> parked{false};
+  LabelingFunctionSet gated = MakeSwappableLfs(
+      [&hold, &parked, poisoned_id](const CandidateView& view) -> Label {
+        const std::string& id = view.candidate().span1.canonical_id;
+        if (id == "C0") {
+          parked.store(true);
+          while (hold.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
+        if (id == poisoned_id) return 7;  // Out of range for a binary task.
+        return NormalCauses(view);
+      });
+  ShardRouter::Options options;
+  options.num_shards = 1;
+  options.workers_per_shard = 1;
+  options.max_fuse = 8;
+  auto router = ShardRouter::Create(snapshot, std::move(gated), options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  std::vector<Candidate> blocker(fx.candidates.begin(),
+                                 fx.candidates.begin() + 1);
+  std::vector<Candidate> poisoned(fx.candidates.begin() + 1,
+                                  fx.candidates.begin() + 6);
+  std::vector<Candidate> clean(fx.candidates.begin() + 6, fx.candidates.end());
+  auto wait_for = [](const std::function<bool()>& done) {
+    for (int i = 0; i < 5000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  Result<LabelResponse> blocked(Status::Internal("unset"));
+  Result<LabelResponse> clean_response(Status::Internal("unset"));
+  Result<LabelResponse> poisoned_response(Status::Internal("unset"));
+  auto send = [&](const std::vector<Candidate>* rows, bool votes,
+                  Result<LabelResponse>* out) {
+    return std::thread([&router, &fx, rows, votes, out] {
+      LabelRequest request;
+      request.corpus = &fx.corpus;
+      request.candidates = rows;
+      request.include_votes = votes;
+      *out = router->Label(request);
+    });
+  };
+  std::thread first = send(&blocker, false, &blocked);
+  bool lined_up = wait_for([&] { return parked.load(); });
+  // Two untokened requests queue behind the parked job, so the worker pops
+  // both into one run and fuses them into a pass that fails.
+  std::thread second = send(&clean, true, &clean_response);
+  lined_up = lined_up &&
+             wait_for([&] { return router->stats().queue_depth == 1; });
+  std::thread third = send(&poisoned, false, &poisoned_response);
+  lined_up = lined_up &&
+             wait_for([&] { return router->stats().queue_depth == 2; });
+  hold.store(false);
+  first.join();
+  second.join();
+  third.join();
+  ASSERT_TRUE(lined_up) << "jobs never lined up behind the parked worker";
+  ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
+
+  // The clean request is served on its own after the fused pass fails:
+  // bitwise what one unsharded service answers, votes included.
+  auto unsharded =
+      LabelService::Create(snapshot, MakeSwappableLfs(NormalCauses));
+  ASSERT_TRUE(unsharded.ok());
+  LabelRequest request;
+  request.corpus = &fx.corpus;
+  request.candidates = &clean;
+  request.include_votes = true;
+  auto expected = unsharded->Label(request);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_TRUE(clean_response.ok()) << clean_response.status().ToString();
+  ASSERT_EQ(clean_response->posteriors.size(), clean.size());
+  EXPECT_EQ(std::memcmp(clean_response->posteriors.data(),
+                        expected->posteriors.data(),
+                        clean.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(clean_response->hard_labels, expected->hard_labels);
+  const LabelMatrix& votes = clean_response->votes;
+  ASSERT_EQ(votes.num_rows(), clean.size());
+  ASSERT_EQ(votes.num_lfs(), expected->votes.num_lfs());
+  for (size_t i = 0; i < clean.size(); ++i) {
+    for (size_t j = 0; j < votes.num_lfs(); ++j) {
+      EXPECT_EQ(votes.At(i, j), expected->votes.At(i, j))
+          << "vote mismatch at (" << i << ", " << j << ")";
+    }
+  }
+
+  ASSERT_FALSE(poisoned_response.ok());
+  EXPECT_EQ(poisoned_response.status().code(), StatusCode::kInvalidArgument)
+      << poisoned_response.status().ToString();
+  // The failed fused pass is not counted as fusion.
   EXPECT_EQ(router->stats().fused_jobs, 0u);
 }
 

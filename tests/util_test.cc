@@ -324,14 +324,16 @@ TEST(ThreadPoolTest, ZeroThreadsDefaultsToHardware) {
 // ---------------------------------------------------------- BoundedQueue --
 
 TEST(BoundedQueueTest, FifoWithinCapacity) {
-  BoundedQueue<int> queue(4);
+  BoundedQueue<int> queue(BoundedQueueOptions{4, 0, 0});
   using PushResult = BoundedQueue<int>::PushResult;
+  constexpr auto kLane = BoundedQueue<int>::Lane::kInteractive;
+  std::vector<int> shed;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(queue.Push(std::move(i)), PushResult::kOk);
+    EXPECT_EQ(queue.Push(std::move(i), 0, kLane), PushResult::kOk);
   }
   EXPECT_EQ(queue.size(), 4u);
   for (int i = 0; i < 4; ++i) {
-    auto item = queue.Pop();
+    auto item = queue.Pop(&shed);
     ASSERT_TRUE(item.has_value());
     EXPECT_EQ(*item, i);
   }
@@ -339,33 +341,41 @@ TEST(BoundedQueueTest, FifoWithinCapacity) {
 }
 
 TEST(BoundedQueueTest, TryPushRejectsWhenFullWithoutConsuming) {
-  BoundedQueue<std::unique_ptr<int>> queue(1);
+  BoundedQueue<std::unique_ptr<int>> queue(BoundedQueueOptions{1, 0, 0});
   using PushResult = BoundedQueue<std::unique_ptr<int>>::PushResult;
+  constexpr auto kLane =
+      BoundedQueue<std::unique_ptr<int>>::Lane::kInteractive;
+  std::vector<std::unique_ptr<int>> shed;
   auto first = std::make_unique<int>(1);
-  EXPECT_EQ(queue.TryPush(std::move(first)), PushResult::kOk);
+  EXPECT_EQ(queue.TryPush(std::move(first), 0, kLane, &shed), PushResult::kOk);
 
   // kQueueFull — the typed backpressure rejection — must leave the item
   // with the caller, who still owns the associated work.
   auto second = std::make_unique<int>(2);
-  EXPECT_EQ(queue.TryPush(std::move(second)), PushResult::kQueueFull);
+  EXPECT_EQ(queue.TryPush(std::move(second), 0, kLane, &shed),
+            PushResult::kQueueFull);
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(*second, 2);
 
   queue.Close();
-  EXPECT_EQ(queue.TryPush(std::move(second)), PushResult::kClosed);
+  EXPECT_EQ(queue.TryPush(std::move(second), 0, kLane, &shed),
+            PushResult::kClosed);
   ASSERT_NE(second, nullptr);
 }
 
 TEST(BoundedQueueTest, CloseUnblocksProducerAndDrainsConsumers) {
-  BoundedQueue<int> queue(1);
+  BoundedQueue<int> queue(BoundedQueueOptions{1, 0, 0});
   using PushResult = BoundedQueue<int>::PushResult;
-  EXPECT_EQ(queue.Push(1), PushResult::kOk);
+  constexpr auto kLane = BoundedQueue<int>::Lane::kInteractive;
+  std::vector<int> shed;
+  EXPECT_EQ(queue.Push(1, 0, kLane), PushResult::kOk);
 
   // A producer blocked on the full queue must wake with kClosed.
   std::atomic<int> blocked_result{-1};
   std::thread producer([&] {
     int item = 2;
-    blocked_result.store(static_cast<int>(queue.Push(std::move(item))));
+    blocked_result.store(
+        static_cast<int>(queue.Push(std::move(item), 0, kLane)));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   queue.Close();
@@ -373,23 +383,24 @@ TEST(BoundedQueueTest, CloseUnblocksProducerAndDrainsConsumers) {
   EXPECT_EQ(blocked_result.load(), static_cast<int>(PushResult::kClosed));
 
   // Items admitted before Close still drain; then Pop signals exit.
-  auto drained = queue.Pop();
+  auto drained = queue.Pop(&shed);
   ASSERT_TRUE(drained.has_value());
   EXPECT_EQ(*drained, 1);
-  EXPECT_EQ(queue.Pop(), std::nullopt);
+  EXPECT_EQ(queue.Pop(&shed), std::nullopt);
 }
 
 TEST(BoundedQueueTest, CloseWakesConsumersBlockedOnEmptyQueue) {
   // The shutdown path the ShardServer relies on: workers blocked in Pop()
   // on an EMPTY queue must wake with nullopt when the acceptor closes the
   // queue — no item ever arrives to nudge them.
-  BoundedQueue<int> queue(4);
+  BoundedQueue<int> queue(BoundedQueueOptions{4, 0, 0});
   constexpr int kWaiters = 3;
   std::atomic<int> woken{0};
   std::vector<std::thread> waiters;
   for (int i = 0; i < kWaiters; ++i) {
     waiters.emplace_back([&] {
-      auto item = queue.Pop();
+      std::vector<int> shed;
+      auto item = queue.Pop(&shed);
       if (!item.has_value()) woken.fetch_add(1);
     });
   }
@@ -402,9 +413,12 @@ TEST(BoundedQueueTest, CloseWakesConsumersBlockedOnEmptyQueue) {
 
   // Push after close is the typed kClosed, never a silent enqueue.
   using PushResult = BoundedQueue<int>::PushResult;
+  constexpr auto kLane = BoundedQueue<int>::Lane::kInteractive;
+  std::vector<int> shed;
   int late = 9;
-  EXPECT_EQ(queue.Push(std::move(late)), PushResult::kClosed);
-  EXPECT_EQ(queue.TryPush(std::move(late)), PushResult::kClosed);
+  EXPECT_EQ(queue.Push(std::move(late), 0, kLane), PushResult::kClosed);
+  EXPECT_EQ(queue.TryPush(std::move(late), 0, kLane, &shed),
+            PushResult::kClosed);
   EXPECT_EQ(queue.size(), 0u);
 }
 
@@ -412,8 +426,9 @@ TEST(BoundedQueueTest, ConcurrentProducersConsumersDeliverExactlyOnce) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
   constexpr int kPerProducer = 250;
-  BoundedQueue<int> queue(8);
+  BoundedQueue<int> queue(BoundedQueueOptions{8, 0, 0});
   using PushResult = BoundedQueue<int>::PushResult;
+  constexpr auto kLane = BoundedQueue<int>::Lane::kInteractive;
 
   std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
   std::vector<std::thread> threads;
@@ -421,14 +436,15 @@ TEST(BoundedQueueTest, ConcurrentProducersConsumersDeliverExactlyOnce) {
     threads.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         int item = p * kPerProducer + i;
-        ASSERT_EQ(queue.Push(std::move(item)), PushResult::kOk);
+        ASSERT_EQ(queue.Push(std::move(item), 0, kLane), PushResult::kOk);
       }
     });
   }
   std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
-      while (auto item = queue.Pop()) seen[*item]++;
+      std::vector<int> shed;
+      while (auto item = queue.Pop(&shed)) seen[*item]++;
     });
   }
   for (auto& t : threads) t.join();
@@ -451,7 +467,7 @@ TEST(BoundedQueueTest, CostBudgetBoundsAdmission) {
                           &shed),
             PushResult::kOk);
   EXPECT_EQ(queue.cost_used(), 12u);
-  ASSERT_TRUE(queue.Pop().has_value());
+  ASSERT_TRUE(queue.Pop(&shed).has_value());
   EXPECT_EQ(queue.cost_used(), 0u);
 
   // Within budget admits; the push that would exceed it is rejected typed,
@@ -487,7 +503,7 @@ TEST(BoundedQueueTest, InteractiveDisplacesBulkOldestFirst) {
   EXPECT_EQ(shed[0], 10);
   EXPECT_EQ(shed[1], 11);
   // The interactive item is served (it is the only one left).
-  auto popped = queue.Pop();
+  auto popped = queue.Pop(&shed);
   ASSERT_TRUE(popped.has_value());
   EXPECT_EQ(*popped, 20);
 }
@@ -511,7 +527,7 @@ TEST(BoundedQueueTest, NoVainSheddingWhenDisplacementCannotHelp) {
   EXPECT_TRUE(shed.empty());
   EXPECT_EQ(queue.cost_used(), 9u);
   // Interactive never displaces interactive: same rejection with no bulk.
-  ASSERT_TRUE(queue.Pop().has_value());  // bulk? no — interactive first.
+  ASSERT_TRUE(queue.Pop(&shed).has_value());  // bulk? no — interactive first.
 }
 
 TEST(BoundedQueueTest, InteractiveLaneServedBeforeBulk) {
@@ -526,8 +542,8 @@ TEST(BoundedQueueTest, InteractiveLaneServedBeforeBulk) {
       queue.TryPush(std::move(interactive), 1, Queue::Lane::kInteractive,
                     &shed),
       PushResult::kOk);
-  auto first = queue.Pop();
-  auto second = queue.Pop();
+  auto first = queue.Pop(&shed);
+  auto second = queue.Pop(&shed);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*first, 2);  // Interactive jumps the earlier bulk item.
@@ -607,7 +623,8 @@ TEST(BoundedQueueTest, ConcurrentCostedProducersNeverExceedBudget) {
     });
   }
   std::thread consumer([&] {
-    while (auto item = queue.Pop()) {
+    std::vector<int> shed;
+    while (auto item = queue.Pop(&shed)) {
       // The admitted cost may transiently hold ONE over-budget item (the
       // empty-queue admission rule) but never stacks two over-budget
       // admissions: with every item costing 3 against budget 9, used cost
@@ -888,21 +905,25 @@ TEST(FaultTest, ParseSpecRoundTripsAndRejectsMalformed) {
 
 TEST(FaultTest, BoundedQueueAdmissionSiteInjectsTypedBackpressure) {
   FaultGuard guard;
-  BoundedQueue<std::unique_ptr<int>> queue(8);
+  BoundedQueue<std::unique_ptr<int>> queue(BoundedQueueOptions{8, 0, 0});
   using PushResult = BoundedQueue<std::unique_ptr<int>>::PushResult;
+  constexpr auto kLane =
+      BoundedQueue<std::unique_ptr<int>>::Lane::kInteractive;
+  std::vector<std::unique_ptr<int>> shed;
   fault::Schedule schedule;
   schedule.kind = fault::Schedule::Kind::kFailNth;
   schedule.n = 2;
   ASSERT_TRUE(fault::Arm("queue.admit", schedule).ok());
   auto one = std::make_unique<int>(1);
-  EXPECT_EQ(queue.TryPush(std::move(one)), PushResult::kOk);
+  EXPECT_EQ(queue.TryPush(std::move(one), 0, kLane, &shed), PushResult::kOk);
   auto two = std::make_unique<int>(2);
   // 2nd admission: injected kQueueFull — and the item is NOT consumed,
   // exactly like a genuinely full queue.
-  EXPECT_EQ(queue.TryPush(std::move(two)), PushResult::kQueueFull);
+  EXPECT_EQ(queue.TryPush(std::move(two), 0, kLane, &shed),
+            PushResult::kQueueFull);
   ASSERT_NE(two, nullptr);
   EXPECT_EQ(*two, 2);
-  EXPECT_EQ(queue.TryPush(std::move(two)), PushResult::kOk);
+  EXPECT_EQ(queue.TryPush(std::move(two), 0, kLane, &shed), PushResult::kOk);
   EXPECT_EQ(queue.size(), 2u);
 }
 
