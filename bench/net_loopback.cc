@@ -1,5 +1,5 @@
 // Networked-fabric benchmark (PR 6): measures what the wire costs and what
-// hedging buys, on loopback.
+// failover buys, on loopback.
 //
 //   (1) in-process LabelService vs the SAME replica behind a loopback TCP
 //       ShardServer driven through RemoteShardClient — the RPC tax
@@ -7,9 +7,6 @@
 //       sizes, and
 //   (2) a 2-shard RemoteShardRouter over two loopback servers vs the single
 //       loopback client — what cross-process fan-out adds, and
-//   (3) a hedged-retry tail probe: a server that sleeps on every 2nd request
-//       (inject_delay_every_n) gives a bimodal latency distribution; the
-//       hedging client must pull p99 down to roughly the fast mode, and
 //   (4) replicated failover: R=2 routing vs single-owner when healthy, and
 //       throughput while one of two shards is dead — the outage run must
 //       complete EVERY request (failover, not failure), and
@@ -55,17 +52,6 @@
 #include "synth/relation_task.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
-
-namespace {
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  size_t idx = static_cast<size_t>(p * static_cast<double>(values.size() - 1));
-  return values[idx];
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace snorkel;
@@ -226,61 +212,6 @@ int main(int argc, char** argv) {
   std::printf("(loopback bounds protocol cost only — real networks add NIC "
               "latency and congestion on top)\n");
 
-  // ---- (3) hedged-retry tail probe: every 2nd request sleeps
-  // kInjectMs server-side, so sequential calls alternate fast/slow and the
-  // no-hedge p99 sits at the slow mode. The hedging client launches a
-  // second attempt after hedge_delay_ms; the hedge lands on the next
-  // (fast) injection slot and wins, pulling p99 back down. ----
-  constexpr uint64_t kInjectMs = 40;
-  constexpr int kProbeCalls = 60;
-  const std::vector<Candidate> probe(task->candidates.begin(),
-                                     task->candidates.begin() + 64);
-  const std::vector<CandidateRef> probe_rows = MakeCandidateRefs(probe);
-  double p99_nohedge = 0.0;
-  double p99_hedge = 0.0;
-  double p50_nohedge = 0.0;
-  double p50_hedge = 0.0;
-  uint64_t hedged_wins = 0;
-  for (bool hedge : {false, true}) {
-    ShardServer::Options options;
-    options.num_workers = 4;  // Hedges must not queue behind sleepers.
-    options.queue_capacity = 64;
-    options.service.num_threads = 1;
-    options.inject_delay_every_n = 2;
-    options.inject_delay_ms = kInjectMs;
-    auto server = ShardServer::Serve(path, task->lfs, options);
-    if (!server.ok()) return 1;
-    RemoteShardClient::Options client_options;
-    client_options.port = server->port();
-    client_options.enable_hedging = hedge;
-    client_options.hedge_delay_ms = 10;
-    RemoteShardClient client = RemoteShardClient::Create(client_options);
-    std::vector<double> latencies;
-    latencies.reserve(kProbeCalls);
-    for (int i = 0; i < kProbeCalls; ++i) {
-      WallTimer call;
-      if (!client.Label(task->corpus, probe_rows, false, true, 60'000).ok()) {
-        std::fprintf(stderr, "tail probe failed\n");
-        return 1;
-      }
-      latencies.push_back(call.ElapsedSeconds() * 1e3);
-    }
-    (hedge ? p99_hedge : p99_nohedge) = Percentile(latencies, 0.99);
-    (hedge ? p50_hedge : p50_nohedge) = Percentile(latencies, 0.50);
-    if (hedge) hedged_wins = client.stats().hedged_wins;
-    server->Shutdown();
-  }
-  TablePrinter tail({"Client", "p50 ms", "p99 ms"});
-  tail.AddRow({"no hedging", TablePrinter::Cell(p50_nohedge, 2),
-               TablePrinter::Cell(p99_nohedge, 2)});
-  tail.AddRow({"hedged (delay 10ms)", TablePrinter::Cell(p50_hedge, 2),
-               TablePrinter::Cell(p99_hedge, 2)});
-  std::printf("\nHedged-retry tail probe (every 2nd request +%llums "
-              "server-side, %d calls, %llu hedged wins):\n%s",
-              static_cast<unsigned long long>(kInjectMs), kProbeCalls,
-              static_cast<unsigned long long>(hedged_wins),
-              tail.ToString().c_str());
-
   // ---- (4) replicated failover (PR 7): what R-way replication costs when
   // the fleet is healthy, and what it buys when a shard dies. Three router
   // configs over the same 2-server fleet, interleaved best-of like (1)+(2):
@@ -423,6 +354,9 @@ int main(int argc, char** argv) {
   // retry_after hint. The ratio is what overload control buys: excess load
   // turns into typed rejections, not goodput collapse. A tiny-deadline
   // burst at the end proves expired work is cancelled mid-service. ----
+  const std::vector<Candidate> probe(task->candidates.begin(),
+                                     task->candidates.begin() + 64);
+  const std::vector<CandidateRef> probe_rows = MakeCandidateRefs(probe);
   double overload_1x_cps = 0.0;
   double overload_2x_cps = 0.0;
   uint64_t overload_shed = 0;
@@ -516,7 +450,7 @@ int main(int argc, char** argv) {
     // The abandoned burst jobs drain at ~2 ms each; give them a moment so
     // the counters below reflect the whole run.
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    ShardServer::Stats stats = server->stats();
+    WireServerStats stats = server->stats();
     overload_shed = stats.shed_total;
     overload_cancelled = stats.expired_work_cancelled;
     overload_rejections = stats.queue_rejections;
@@ -553,10 +487,6 @@ int main(int argc, char** argv) {
         "  \"callers\": %d, \"batch\": %zu,\n"
         "  \"inprocess_cps\": %.1f, \"loopback_cps\": %.1f, "
         "\"router2_cps\": %.1f,\n"
-        "  \"hedge\": {\"inject_ms\": %llu, \"calls\": %d, "
-        "\"p50_nohedge_ms\": %.2f, \"p99_nohedge_ms\": %.2f, "
-        "\"p50_hedge_ms\": %.2f, \"p99_hedge_ms\": %.2f, "
-        "\"hedged_wins\": %llu},\n"
         "  \"failover\": {\"r1_cps\": %.1f, \"r2_cps\": %.1f, "
         "\"outage_cps\": %.1f, \"failovers\": %llu},\n"
         "  \"obs\": {\"trace_off_cps\": %.1f, \"trace_on_cps\": %.1f, "
@@ -566,10 +496,8 @@ int main(int argc, char** argv) {
         "\"shed\": %llu, \"expired_cancelled\": %llu}\n"
         "}\n",
         kCallers, kBatchSize, inprocess_cps, loopback_cps, router2_cps,
-        static_cast<unsigned long long>(kInjectMs), kProbeCalls,
-        p50_nohedge, p99_nohedge, p50_hedge, p99_hedge,
-        static_cast<unsigned long long>(hedged_wins), r1_cps, r2_cps,
-        outage_cps, static_cast<unsigned long long>(outage_failovers),
+        r1_cps, r2_cps, outage_cps,
+        static_cast<unsigned long long>(outage_failovers),
         trace_off_cps, trace_on_cps, overhead_pct,
         static_cast<unsigned long long>(traced_spans), overload_1x_cps,
         overload_2x_cps, overload_ratio,

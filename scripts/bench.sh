@@ -128,20 +128,18 @@ print(
         stream["cached_s"], stream["nocache_s"], stream["steps"],
         stream["speedup"], stream["appended_rows"]))
 
-# The networked-fabric section (PR 6): the loopback RPC tax and the hedged
-# tail probe must stay on the trajectory. Loopback bounds protocol cost
-# only — real networks add NIC latency and congestion on top, so these
-# numbers are a floor for the wire tax, not a datacenter estimate.
+# The networked-fabric section: the loopback RPC tax must stay on the
+# trajectory. Loopback bounds protocol cost only — real networks add NIC
+# latency and congestion on top, so these numbers are a floor for the wire
+# tax, not a datacenter estimate.
 with open(net_path) as f:
     result["net"] = json.load(f)
 net = result["net"]
-if "loopback_cps" not in net or "hedge" not in net:
-    sys.exit("net benchmark JSON is missing the loopback/hedge sections")
+if "loopback_cps" not in net:
+    sys.exit("net benchmark JSON is missing the loopback section")
 print(
-    "net fabric: in-process {:.0f} vs loopback {:.0f} cand/s ({} callers); "
-    "tail probe p99 {:.1f} -> {:.1f} ms with hedging".format(
-        net["inprocess_cps"], net["loopback_cps"], net["callers"],
-        net["hedge"]["p99_nohedge_ms"], net["hedge"]["p99_hedge_ms"]))
+    "net fabric: in-process {:.0f} vs loopback {:.0f} cand/s ({} callers)".format(
+        net["inprocess_cps"], net["loopback_cps"], net["callers"]))
 
 # The replicated-failover section (PR 7): R-way placement must stay cheap
 # when healthy and keep serving (at reduced throughput, zero failures)

@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "net/health.h"
@@ -13,32 +11,6 @@
 #include "util/hash.h"
 
 namespace snorkel {
-
-namespace {
-
-/// Milliseconds left until `deadline` (0 when none / already expired —
-/// callers have checked expiry separately).
-uint64_t RemainingMs(SocketDeadline deadline) {
-  if (deadline == kNoDeadline) return 0;
-  auto now = std::chrono::steady_clock::now();
-  if (deadline <= now) return 0;
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-          .count());
-}
-
-/// First-completion-wins rendezvous between the primary and hedge attempts.
-struct PendingCall {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  int winner = -1;
-  Result<LabelResponse> result{Status::Internal("pending")};
-  /// The winning attempt's server backoff hint (0 = none).
-  uint64_t retry_after_ms = 0;
-};
-
-}  // namespace
 
 struct RemoteShardClient::Impl {
   Options options;
@@ -56,17 +28,9 @@ struct RemoteShardClient::Impl {
   /// slot-wait), then the limiter.
   AdaptiveLimiter limiter;
 
-  /// In-flight attempt threads (hedge losers included); the destructor
-  /// waits for all of them so no detached thread outlives the impl's user.
-  std::mutex flight_mu;
-  std::condition_variable flight_cv;
-  size_t in_flight = 0;
-
   std::atomic<uint64_t> next_request_id{1};
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> failures{0};
-  std::atomic<uint64_t> hedged_attempts{0};
-  std::atomic<uint64_t> hedged_wins{0};
   std::atomic<uint64_t> fail_fast{0};
   std::atomic<uint64_t> pooled_reuses{0};
   std::atomic<uint64_t> limited_rejections{0};
@@ -142,6 +106,17 @@ struct RemoteShardClient::Impl {
     }
   }
 
+  /// Every label exit that never reaches the wire passes through here. A
+  /// call admitted as the breaker's single half-open probe must report the
+  /// probe failed, or the breaker waits forever on a probe that will never
+  /// answer and the endpoint fails fast for good.
+  Status NotSent(CircuitBreaker::Admission admission, Status status) {
+    if (admission == CircuitBreaker::Admission::kProbe) {
+      breaker.RecordFailure();
+    }
+    return status;
+  }
+
   // ---- One exchange on one socket. ----
 
   /// Sends `frame_bytes`, receives the reply, verifies correlation, decodes.
@@ -183,11 +158,28 @@ struct RemoteShardClient::Impl {
     return reply;
   }
 
-  /// One full label attempt over pre-encoded frame bytes (encoded in the
-  /// caller's thread — attempt threads must not borrow the caller's
-  /// corpus/rows, which may go out of scope once the winning attempt
-  /// returns). `retry_after_ms` receives the server's backoff hint when
-  /// the reply is a rejection error frame (0 otherwise).
+  uint64_t NextRequestId() {
+    return next_request_id.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// One control-plane exchange (ping, stats, faults, metrics, traces):
+  /// sends `request`, records the transport outcome with the breaker, and
+  /// turns an error frame into its typed status. `deadline_ms` 0 =
+  /// Options::request_timeout_ms.
+  Result<Frame> Call(const Frame& request, uint64_t deadline_ms) {
+    if (deadline_ms == 0) deadline_ms = options.request_timeout_ms;
+    bool transport_ok = false;
+    auto reply = Exchange(EncodeFrame(request), request.request_id,
+                          DeadlineAfterMs(deadline_ms), &transport_ok);
+    RecordOutcome(transport_ok);
+    if (!reply.ok()) return reply.status();
+    if (reply->type == FrameType::kError) return DecodeErrorFrame(*reply);
+    return reply;
+  }
+
+  /// One full label attempt over framed request bytes. `retry_after_ms`
+  /// receives the server's backoff hint when the reply is a rejection
+  /// error frame (0 otherwise).
   Result<LabelResponse> LabelAttempt(const std::string& frame_bytes,
                                      uint64_t request_id,
                                      SocketDeadline deadline,
@@ -205,17 +197,16 @@ struct RemoteShardClient::Impl {
   }
 };
 
-RemoteShardClient::RemoteShardClient(std::shared_ptr<Impl> impl)
+RemoteShardClient::RemoteShardClient(std::unique_ptr<Impl> impl)
     : impl_(std::move(impl)) {}
 
-RemoteShardClient RemoteShardClient::Create(Options options) {
-  return RemoteShardClient(std::make_shared<Impl>(std::move(options)));
-}
+RemoteShardClient::RemoteShardClient(RemoteShardClient&&) noexcept = default;
+RemoteShardClient& RemoteShardClient::operator=(RemoteShardClient&&) noexcept =
+    default;
+RemoteShardClient::~RemoteShardClient() = default;
 
-RemoteShardClient::~RemoteShardClient() {
-  if (impl_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(impl_->flight_mu);
-  impl_->flight_cv.wait(lock, [this] { return impl_->in_flight == 0; });
+RemoteShardClient RemoteShardClient::Create(Options options) {
+  return RemoteShardClient(std::make_unique<Impl>(std::move(options)));
 }
 
 const RemoteShardClient::Options& RemoteShardClient::options() const {
@@ -250,131 +241,41 @@ Result<LabelResponse> RemoteShardClient::Label(
   // router fails over for free (failed_fast), same as an open breaker.
   const bool limited = impl.options.enable_adaptive_limit;
   if (limited && !impl.limiter.Acquire(deadline)) {
-    if (admission == CircuitBreaker::Admission::kProbe) {
-      // This call held the single half-open probe slot but never reached
-      // the wire; report it failed so the breaker re-arms its cooldown
-      // instead of waiting forever on a probe that will never answer.
-      impl.breaker.RecordFailure();
-    }
     impl.limited_rejections.fetch_add(1, std::memory_order_relaxed);
     impl.failures.fetch_add(1, std::memory_order_relaxed);
     if (failed_fast != nullptr) *failed_fast = true;
-    return Status::ResourceExhausted(
-        impl.options.host + ":" + std::to_string(impl.options.port) +
-        " adaptive concurrency limit reached before the request deadline");
+    return impl.NotSent(
+        admission,
+        Status::ResourceExhausted(
+            impl.options.host + ":" + std::to_string(impl.options.port) +
+            " adaptive concurrency limit reached before the request deadline"));
   }
 
-  auto pending = std::make_shared<PendingCall>();
-  // Encode the batch (corpus slice + candidate rows — the expensive,
-  // deadline-independent bytes) ONCE, up-front in this thread: attempt
-  // threads are detached and may outlive this call (hedge losers), so they
-  // must not borrow the caller's corpus or rows. Each attempt then frames
-  // the shared batch at ITS OWN start with a freshly computed remaining
-  // budget — so limiter waits, hedge delays, and time to this point are
-  // subtracted from the deadline_ms the server sees, instead of every
-  // attempt advertising the budget as of call entry (the budget leak: a
-  // hedge fired 50 ms in claimed 50 ms more patience than the caller had).
-  auto batch = std::make_shared<EncodedLabelBatch>(
-      EncodeLabelBatch(corpus, rows));
-  // Each attempt carries its own request id — a loser's late reply can
-  // never be mistaken for the winner's on a pooled connection.
-  struct AttemptPayload {
-    uint64_t request_id = 0;
-  };
-  auto payloads = std::make_shared<std::vector<AttemptPayload>>();
-  // Snapshot the caller's trace identity: the frame carries it in a TRAC
-  // section (server spans hang under it), and each detached attempt thread
-  // re-installs it so its send/recv/decode spans land in the same trace.
-  obs::TraceContext trace_ctx = obs::CurrentTraceContext();
-  size_t num_attempts = impl.options.enable_hedging ? 2 : 1;
-  for (size_t a = 0; a < num_attempts; ++a) {
-    AttemptPayload payload;
-    payload.request_id =
-        impl.next_request_id.fetch_add(1, std::memory_order_relaxed);
-    payloads->push_back(payload);
+  // Encode the corpus slice and candidate rows (the expensive,
+  // deadline-independent bytes), THEN frame them with the budget left now:
+  // limiter waits and encoding are subtracted from the deadline_ms the
+  // server sees.
+  EncodedLabelBatch batch = EncodeLabelBatch(corpus, rows);
+  uint64_t hint = 0;
+  Result<LabelResponse> result(Status::Internal("unset"));
+  if (deadline != kNoDeadline &&
+      std::chrono::steady_clock::now() >= deadline) {
+    // RemainingMs would encode 0 — which means "no deadline" on the wire —
+    // so fail here instead of asking the server for unbounded patience.
+    result = impl.NotSent(admission,
+                          Status::DeadlineExceeded(
+                              "request budget spent before the attempt was "
+                              "sent"));
+  } else {
+    // The frame's TRAC section carries the caller's trace identity, so the
+    // server's spans hang under it.
+    const uint64_t request_id = impl.NextRequestId();
+    result = impl.LabelAttempt(
+        EncodeFrame(EncodeLabelRequestFromBatch(
+            request_id, batch, include_votes, apply_class_balance,
+            RemainingMs(deadline), obs::CurrentTraceContext())),
+        request_id, deadline, &hint);
   }
-
-  auto launch = [this, pending, payloads, batch, deadline, trace_ctx,
-                 include_votes, apply_class_balance](int attempt) {
-    // Each attempt holds the impl (keep-alive past the stub) and runs on
-    // its own socket; first completion wins, the loser still finishes its
-    // exchange so its connection pools cleanly.
-    std::shared_ptr<Impl> impl_keepalive = impl_;
-    {
-      std::lock_guard<std::mutex> lock(impl_keepalive->flight_mu);
-      ++impl_keepalive->in_flight;
-    }
-    std::thread([impl_keepalive, pending, payloads, batch, deadline, attempt,
-                 trace_ctx, include_votes, apply_class_balance] {
-      const AttemptPayload& payload =
-          (*payloads)[static_cast<size_t>(attempt)];
-      Result<LabelResponse> result(Status::Internal("pending"));
-      uint64_t attempt_retry_after = 0;
-      if (deadline != kNoDeadline &&
-          std::chrono::steady_clock::now() >= deadline) {
-        // Budget spent before this attempt could even frame its request
-        // (e.g. a hedge fired at the deadline's edge). RemainingMs would
-        // encode 0 — which means "no deadline" on the wire — so fail here
-        // instead of asking the server for unbounded patience.
-        result = Status::DeadlineExceeded(
-            "request budget spent before the attempt was sent");
-      } else {
-        // Frame NOW, with the budget left NOW (the deadline-propagation
-        // contract: elapsed client time is subtracted before the hop).
-        std::string frame_bytes = EncodeFrame(EncodeLabelRequestFromBatch(
-            payload.request_id, *batch, include_votes, apply_class_balance,
-            RemainingMs(deadline), trace_ctx));
-        obs::ScopedTraceContext trace_scope(trace_ctx);
-        result =
-            impl_keepalive->LabelAttempt(frame_bytes, payload.request_id,
-                                         deadline, &attempt_retry_after);
-      }
-      // Attempt threads are detached: push their spans to the global ring
-      // NOW, before the winner signals — a drain right after the call
-      // returns must already see them.
-      obs::FlushThreadSpans();
-      {
-        std::lock_guard<std::mutex> lock(pending->mu);
-        if (!pending->done) {
-          pending->done = true;
-          pending->winner = attempt;
-          pending->result = std::move(result);
-          pending->retry_after_ms = attempt_retry_after;
-          pending->cv.notify_all();
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(impl_keepalive->flight_mu);
-        --impl_keepalive->in_flight;
-        impl_keepalive->flight_cv.notify_all();
-      }
-    }).detach();
-  };
-
-  launch(0);
-  std::unique_lock<std::mutex> lock(pending->mu);
-  if (impl.options.enable_hedging) {
-    bool completed = pending->cv.wait_for(
-        lock, std::chrono::milliseconds(impl.options.hedge_delay_ms),
-        [&] { return pending->done; });
-    if (!completed &&
-        (deadline == kNoDeadline ||
-         std::chrono::steady_clock::now() < deadline)) {
-      impl.hedged_attempts.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      launch(1);
-      lock.lock();
-    }
-  }
-  // Attempts enforce the deadline through every socket operation, which
-  // bounds how long this wait can last whenever a deadline is set.
-  pending->cv.wait(lock, [&] { return pending->done; });
-  if (pending->winner == 1) {
-    impl.hedged_wins.fetch_add(1, std::memory_order_relaxed);
-  }
-  Result<LabelResponse> result = std::move(pending->result);
-  const uint64_t hint = pending->retry_after_ms;
-  lock.unlock();
   if (retry_after_ms != nullptr) *retry_after_ms = hint;
   if (limited) {
     // Teach the limiter the outcome: overload signals shrink it (and a
@@ -398,20 +299,11 @@ Result<LabelResponse> RemoteShardClient::Label(
 }
 
 Status RemoteShardClient::Ping(uint64_t deadline_ms) {
-  Impl& impl = *impl_;
-  if (deadline_ms == 0) deadline_ms = impl.options.request_timeout_ms;
-  SocketDeadline deadline = DeadlineAfterMs(deadline_ms);
-  uint64_t request_id =
-      impl.next_request_id.fetch_add(1, std::memory_order_relaxed);
   Frame ping;
   ping.type = FrameType::kPing;
-  ping.request_id = request_id;
-  bool transport_ok = false;
-  auto reply =
-      impl.Exchange(EncodeFrame(ping), request_id, deadline, &transport_ok);
-  impl.RecordOutcome(transport_ok);
+  ping.request_id = impl_->NextRequestId();
+  auto reply = impl_->Call(ping, deadline_ms);
   if (!reply.ok()) return reply.status();
-  if (reply->type == FrameType::kError) return DecodeErrorFrame(*reply);
   if (reply->type != FrameType::kPong) {
     return Status::IOError("ping answered by a non-pong frame");
   }
@@ -420,17 +312,9 @@ Status RemoteShardClient::Ping(uint64_t deadline_ms) {
 
 Status RemoteShardClient::ConfigureFaults(const WireFaultCommand& command,
                                           uint64_t deadline_ms) {
-  Impl& impl = *impl_;
-  if (deadline_ms == 0) deadline_ms = impl.options.request_timeout_ms;
-  SocketDeadline deadline = DeadlineAfterMs(deadline_ms);
-  uint64_t request_id =
-      impl.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  bool transport_ok = false;
-  auto reply = impl.Exchange(EncodeFrame(EncodeFaultRequest(request_id, command)),
-                             request_id, deadline, &transport_ok);
-  impl.RecordOutcome(transport_ok);
+  auto reply = impl_->Call(
+      EncodeFaultRequest(impl_->NextRequestId(), command), deadline_ms);
   if (!reply.ok()) return reply.status();
-  if (reply->type == FrameType::kError) return DecodeErrorFrame(*reply);
   if (reply->type != FrameType::kFaultResponse) {
     return Status::IOError("fault request answered by an unexpected frame");
   }
@@ -438,52 +322,26 @@ Status RemoteShardClient::ConfigureFaults(const WireFaultCommand& command,
 }
 
 Result<WireServerStats> RemoteShardClient::GetStats(uint64_t deadline_ms) {
-  Impl& impl = *impl_;
-  if (deadline_ms == 0) deadline_ms = impl.options.request_timeout_ms;
-  SocketDeadline deadline = DeadlineAfterMs(deadline_ms);
-  uint64_t request_id =
-      impl.next_request_id.fetch_add(1, std::memory_order_relaxed);
   Frame request;
   request.type = FrameType::kStatsRequest;
-  request.request_id = request_id;
-  bool transport_ok = false;
-  auto reply =
-      impl.Exchange(EncodeFrame(request), request_id, deadline, &transport_ok);
-  impl.RecordOutcome(transport_ok);
+  request.request_id = impl_->NextRequestId();
+  auto reply = impl_->Call(request, deadline_ms);
   if (!reply.ok()) return reply.status();
-  if (reply->type == FrameType::kError) return DecodeErrorFrame(*reply);
   return DecodeStatsResponse(*reply);
 }
 
 Result<std::string> RemoteShardClient::GetMetrics(uint64_t deadline_ms) {
-  Impl& impl = *impl_;
-  if (deadline_ms == 0) deadline_ms = impl.options.request_timeout_ms;
-  SocketDeadline deadline = DeadlineAfterMs(deadline_ms);
-  uint64_t request_id =
-      impl.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  bool transport_ok = false;
-  auto reply = impl.Exchange(EncodeFrame(EncodeMetricsRequest(request_id)),
-                             request_id, deadline, &transport_ok);
-  impl.RecordOutcome(transport_ok);
+  auto reply = impl_->Call(EncodeMetricsRequest(impl_->NextRequestId()),
+                           deadline_ms);
   if (!reply.ok()) return reply.status();
-  if (reply->type == FrameType::kError) return DecodeErrorFrame(*reply);
   return DecodeMetricsResponse(*reply);
 }
 
 Result<obs::SpanBatch> RemoteShardClient::GetTraceSpans(
     const WireTraceRequest& request, uint64_t deadline_ms) {
-  Impl& impl = *impl_;
-  if (deadline_ms == 0) deadline_ms = impl.options.request_timeout_ms;
-  SocketDeadline deadline = DeadlineAfterMs(deadline_ms);
-  uint64_t request_id =
-      impl.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  bool transport_ok = false;
-  auto reply =
-      impl.Exchange(EncodeFrame(EncodeTraceRequest(request_id, request)),
-                    request_id, deadline, &transport_ok);
-  impl.RecordOutcome(transport_ok);
+  auto reply = impl_->Call(
+      EncodeTraceRequest(impl_->NextRequestId(), request), deadline_ms);
   if (!reply.ok()) return reply.status();
-  if (reply->type == FrameType::kError) return DecodeErrorFrame(*reply);
   return DecodeTraceResponse(*reply);
 }
 
@@ -492,8 +350,6 @@ RemoteShardClient::Stats RemoteShardClient::stats() const {
   Stats stats;
   stats.requests = impl.requests.load(std::memory_order_relaxed);
   stats.failures = impl.failures.load(std::memory_order_relaxed);
-  stats.hedged_attempts = impl.hedged_attempts.load(std::memory_order_relaxed);
-  stats.hedged_wins = impl.hedged_wins.load(std::memory_order_relaxed);
   stats.fail_fast = impl.fail_fast.load(std::memory_order_relaxed);
   stats.pooled_reuses = impl.pooled_reuses.load(std::memory_order_relaxed);
   stats.healthy = impl.breaker.state() == CircuitBreaker::State::kClosed;

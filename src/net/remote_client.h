@@ -16,13 +16,16 @@
 namespace snorkel {
 
 /// Client stub for one remote ShardServer: connection pooling, per-call
-/// deadlines, health tracking with fail-fast, and optional hedged retries on
-/// the latency tail.
+/// deadlines, and health tracking with fail-fast. A label call is ONE
+/// attempt, run on the caller's thread; retrying elsewhere is the failover
+/// router's job (net/remote_router.h), not the stub's.
 ///
 ///  - POOLING: completed exchanges return their connection for reuse
 ///    (bounded pool); transport failures close it. A typed error FRAME
 ///    (e.g. kResourceExhausted backpressure) is a healthy exchange — the
-///    server answered — so the connection is still pooled.
+///    server answered — so the connection is still pooled. A pooled
+///    connection that went stale is resent on a fresh one, once, before any
+///    reply byte is read.
 ///  - HEALTH: a per-endpoint circuit breaker (net/health.h).
 ///    `unhealthy_threshold` consecutive TRANSPORT failures open the breaker;
 ///    for a JITTERED cooldown (`unhealthy_cooldown_ms` scaled by up to
@@ -30,17 +33,10 @@ namespace snorkel {
 ///    stream so a fleet of clients never probes a recovering shard in
 ///    lockstep) every call fails fast with kUnavailable (no connect storm
 ///    against a dead shard), after which a single half-open probe either
-///    revives the endpoint or re-arms the cooldown.
-///  - HEDGING: when enabled, a label call that hasn't completed within
-///    `hedge_delay_ms` launches ONE second attempt on its own fresh
-///    connection; the first completion wins. The loser runs to completion
-///    in the background (its socket is independent, so no stream desync) and
-///    still returns its connection to the pool. Hedging trades duplicate
-///    server work for tail latency — results are bit-identical either way,
-///    so the race is safe.
+///    revives the endpoint or re-arms the cooldown. A probe that never
+///    reaches the wire (limiter timeout, budget spent) counts as failed.
 ///
-/// Thread-safe; calls from any thread. The destructor waits for in-flight
-/// hedge attempts to finish (bounded by their deadlines).
+/// Thread-safe; calls from any thread.
 class RemoteShardClient {
  public:
   struct Options {
@@ -52,8 +48,6 @@ class RemoteShardClient {
     uint64_t request_timeout_ms = 0;
     /// Max idle pooled connections (clamped to >= 1).
     size_t max_pooled_connections = 4;
-    bool enable_hedging = false;
-    uint64_t hedge_delay_ms = 50;
     /// Consecutive transport failures before fail-fast kicks in (clamped
     /// to >= 1).
     size_t unhealthy_threshold = 3;
@@ -83,10 +77,9 @@ class RemoteShardClient {
     uint64_t requests = 0;
     /// Calls whose final outcome was a transport failure or deadline.
     uint64_t failures = 0;
-    /// Second attempts actually launched.
+    /// Always 0: the stub makes one attempt per call. Kept only because
+    /// the benchmark still reads it; to be deleted with that read.
     uint64_t hedged_attempts = 0;
-    /// Calls won by the hedge attempt (attempt #2 completed first).
-    uint64_t hedged_wins = 0;
     /// Calls failed immediately because the endpoint was in cooldown.
     uint64_t fail_fast = 0;
     /// Exchanges that reused a pooled connection.
@@ -105,8 +98,8 @@ class RemoteShardClient {
   /// Ping()).
   static RemoteShardClient Create(Options options);
 
-  RemoteShardClient(RemoteShardClient&&) noexcept = default;
-  RemoteShardClient& operator=(RemoteShardClient&&) noexcept = default;
+  RemoteShardClient(RemoteShardClient&&) noexcept;
+  RemoteShardClient& operator=(RemoteShardClient&&) noexcept;
   ~RemoteShardClient();
 
   /// Labels `rows` (borrowed refs into the caller's candidates, original
@@ -123,10 +116,9 @@ class RemoteShardClient {
   /// error frame (0 = none); the hint also feeds the adaptive limiter,
   /// which stalls new acquisitions until it passes.
   ///
-  /// The remaining deadline budget is computed immediately before each
-  /// wire attempt (including hedges and the post-limiter send), so time
-  /// burned client-side — limiter waits, hedge delays, connection setup —
-  /// is subtracted from the deadline_ms the server sees.
+  /// The remaining deadline budget is computed immediately before the
+  /// request is framed, so time burned client-side — limiter waits and
+  /// encoding — is subtracted from the deadline_ms the server sees.
   Result<LabelResponse> Label(const Corpus& corpus,
                               const std::vector<CandidateRef>& rows,
                               bool include_votes, bool apply_class_balance,
@@ -163,11 +155,9 @@ class RemoteShardClient {
 
  private:
   struct Impl;
-  explicit RemoteShardClient(std::shared_ptr<Impl> impl);
+  explicit RemoteShardClient(std::unique_ptr<Impl> impl);
 
-  /// shared_ptr: background hedge attempts keep the impl alive past the
-  /// stub if the caller destroys it mid-flight.
-  std::shared_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace snorkel

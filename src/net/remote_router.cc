@@ -18,17 +18,6 @@ namespace snorkel {
 
 namespace {
 
-/// Milliseconds left until `deadline`; 0 when no deadline is set OR the
-/// deadline is already spent (callers distinguish via kNoDeadline).
-uint64_t RemainingMs(SocketDeadline deadline) {
-  if (deadline == kNoDeadline) return 0;
-  auto now = std::chrono::steady_clock::now();
-  if (deadline <= now) return 0;
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-          .count());
-}
-
 /// May the NEXT replica be tried after this typed failure?
 ///  - kUnavailable: unreachable / broke mid-exchange / breaker fail-fast.
 ///    Labeling is read-only and idempotent, so even a mid-exchange break

@@ -38,7 +38,7 @@ struct RemoteRouterStats {
   /// End-to-end request latency (fan-out + failover + merge) as seen by
   /// Label() callers, on the shared obs::LatencyBucketsMs bounds.
   obs::HistogramSnapshot latency;
-  /// Per-shard client stats (pool/hedge/health), indexed by shard.
+  /// Per-shard client stats (pool/health/limiter), indexed by shard.
   std::vector<RemoteShardClient::Stats> per_shard;
 };
 

@@ -241,12 +241,10 @@ struct ShardServer::Impl {
 
   // ---- Connection handling. ----
 
-  /// One read of the counters for stats() and the stats RPC, whose two
-  /// structs carry the same fields.
-  template <typename StatsT>
-  StatsT ReadStats() const {
+  /// One read of the counters for stats() and the stats RPC.
+  WireServerStats ReadStats() const {
     std::shared_ptr<ServingState> generation = CurrentState();
-    StatsT stats;
+    WireServerStats stats;
     stats.snapshot_version = generation->version;
     stats.snapshot_checksum = generation->checksum;
     stats.cardinality = generation->service.cardinality();
@@ -413,8 +411,7 @@ struct ShardServer::Impl {
           reply.request_id = frame->request_id;
           break;
         case FrameType::kStatsRequest:
-          reply = EncodeStatsResponse(frame->request_id,
-                                      ReadStats<WireServerStats>());
+          reply = EncodeStatsResponse(frame->request_id, ReadStats());
           break;
         case FrameType::kLabelRequest:
           reply = HandleLabelRequest(*frame);
@@ -607,8 +604,8 @@ Result<ShardServer> ShardServer::ServeFromStore(const std::string& store_dir,
 
 uint16_t ShardServer::port() const { return impl_->listener.port(); }
 
-ShardServer::Stats ShardServer::stats() const {
-  return impl_->ReadStats<Stats>();
+WireServerStats ShardServer::stats() const {
+  return impl_->ReadStats();
 }
 
 void ShardServer::Shutdown() { impl_->Shutdown(); }

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "lf/labeling_function.h"
+#include "net/wire.h"
 #include "serve/label_service.h"
 #include "util/status.h"
 
@@ -71,42 +72,15 @@ class ShardServer {
     /// dropped after this long instead of pinning the handler thread — and
     /// with it Shutdown()'s drain — forever. 0 = no deadline.
     uint64_t send_deadline_ms = 30'000;
-    /// Fault injection for tests and the hedged-retry tail probe: every Nth
-    /// label request (1-based, process-wide) sleeps `inject_delay_ms`
-    /// before serving. 0 disables. Injected latency only — results stay
-    /// bit-identical. Implemented as a thin wrapper over the util/fault.h
-    /// fabric (arms site "server.label" with a delay-nth schedule); the
-    /// same site — and the transport/admission sites — are also
-    /// wire-configurable via kFaultRequest.
+    /// Latency injection for tests and benches: every Nth label request
+    /// (1-based, process-wide) sleeps `inject_delay_ms` before serving.
+    /// 0 disables. Injected latency only — results stay bit-identical.
+    /// Implemented as a thin wrapper over the util/fault.h fabric (arms
+    /// site "server.label" with a delay-nth schedule); the same site — and
+    /// the transport/admission sites — are also wire-configurable via
+    /// kFaultRequest.
     uint64_t inject_delay_every_n = 0;
     uint64_t inject_delay_ms = 0;
-  };
-
-  /// Server-side counters (also served over the wire via kStatsRequest).
-  struct Stats {
-    uint64_t requests_served = 0;
-    uint64_t candidates_served = 0;
-    /// Admission failures: queue at capacity (wire kResourceExhausted).
-    uint64_t queue_rejections = 0;
-    /// Jobs dequeued after their deadline budget was spent.
-    uint64_t deadline_rejections = 0;
-    /// Successful hot-swaps onto a newer store version.
-    uint64_t snapshot_swaps = 0;
-    /// Newer store versions that failed validation and were NOT swapped in.
-    uint64_t rejected_swaps = 0;
-    uint64_t snapshot_version = 0;
-    uint64_t snapshot_checksum = 0;
-    int32_t cardinality = 2;
-    /// Faults + delays injected in this process (util/fault.h registry) —
-    /// the server-side resilience counter, also served over the wire.
-    uint64_t faults_injected = 0;
-    /// Requests whose compute was cooperatively cancelled mid-flight after
-    /// their deadline expired (LF application / inference stopped at a
-    /// chunk boundary instead of running to completion).
-    uint64_t expired_work_cancelled = 0;
-    /// Jobs shed from the admission queue: displaced by an interactive
-    /// arrival, or CoDel-dropped at pop for over-target sojourn.
-    uint64_t shed_total = 0;
   };
 
   /// Serves a single artifact file (no watcher; snapshot_version is the
@@ -128,7 +102,8 @@ class ShardServer {
   /// The bound port (resolved when Options::port was 0).
   uint16_t port() const;
 
-  Stats stats() const;
+  /// Server-side counters (also served over the wire via kStatsRequest).
+  WireServerStats stats() const;
 
   /// Stops accepting, drains admitted jobs, joins every thread. Idempotent.
   void Shutdown();

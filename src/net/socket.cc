@@ -80,6 +80,15 @@ SocketDeadline DeadlineAfterMs(uint64_t timeout_ms) {
          std::chrono::milliseconds(timeout_ms);
 }
 
+uint64_t RemainingMs(SocketDeadline deadline) {
+  if (deadline == kNoDeadline) return 0;
+  auto now = std::chrono::steady_clock::now();
+  if (deadline <= now) return 0;
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
+          .count());
+}
+
 Socket::Socket(int fd) : fd_(fd) {
   if (fd_ >= 0) (void)SetNonBlocking(fd_);
 }

@@ -19,6 +19,10 @@ inline constexpr SocketDeadline kNoDeadline = SocketDeadline::max();
 /// Deadline `timeout_ms` milliseconds from now; 0 = kNoDeadline.
 SocketDeadline DeadlineAfterMs(uint64_t timeout_ms);
 
+/// Milliseconds left until `deadline`; 0 when no deadline is set OR the
+/// deadline is already spent (callers distinguish via kNoDeadline).
+uint64_t RemainingMs(SocketDeadline deadline);
+
 /// A connected TCP stream socket (RAII over the fd, move-only). All IO is
 /// non-blocking under the hood with poll()-based waits, so every call takes
 /// an absolute deadline and fails typed instead of hanging:

@@ -186,11 +186,10 @@ Frame EncodeLabelRequest(uint64_t request_id, const Corpus& corpus,
                          const obs::TraceContext& trace = {});
 
 /// The expensive, deadline-INDEPENDENT part of a label request: the encoded
-/// corpus slice + candidate rows. Retries and hedges re-frame the SAME batch
-/// with a freshly computed deadline_ms (EncodeLabelRequestFromBatch), so the
-/// budget each attempt advertises reflects time already burned client-side —
-/// encoding once per attempt would either repay the encode cost or (worse)
-/// reuse a stale deadline.
+/// corpus slice + candidate rows. The client encodes the batch first and
+/// frames it afterwards with a freshly computed deadline_ms
+/// (EncodeLabelRequestFromBatch), so the budget the request advertises
+/// reflects the time encoding already burned client-side.
 struct EncodedLabelBatch {
   std::string corpus;      // EncodeCorpusSlice bytes (CORP payload).
   std::string candidates;  // EncodeCandidates bytes (CAND payload).
@@ -236,28 +235,32 @@ Status DecodeErrorFrame(const Frame& frame);
 /// is old or sent no hint). `retry_after_ms` may be null.
 Status DecodeErrorFrame(const Frame& frame, uint64_t* retry_after_ms);
 
-/// Server-side counters exposed over the wire (kStatsResponse).
+/// A ShardServer's counters: ShardServer::stats() returns them in-process
+/// and the stats RPC (kStatsResponse) serves them over the wire. Fields
+/// after `cardinality` were appended to the payload over time: an old
+/// peer's frame lacks them and they decode as 0.
 struct WireServerStats {
   uint64_t snapshot_version = 0;
   uint64_t snapshot_checksum = 0;
   uint64_t requests_served = 0;
   uint64_t candidates_served = 0;
+  /// Admission failures: queue at capacity (wire kResourceExhausted).
   uint64_t queue_rejections = 0;
+  /// Successful hot-swaps onto a newer store version.
   uint64_t snapshot_swaps = 0;
   int32_t cardinality = 2;
-  /// Faults/delays injected in the server process (util/fault.h registry).
-  /// Appended field: absent on old peers' frames, decoded as 0.
+  /// Faults and delays injected in the server process (util/fault.h).
   uint64_t faults_injected = 0;
-  /// Jobs failed kDeadlineExceeded at dequeue (budget already spent) and
-  /// snapshot swaps refused by the rollout gate. Appended fields (PR 8):
-  /// absent on old peers' frames, decoded as 0.
+  /// Jobs dequeued after their deadline budget was spent.
   uint64_t deadline_rejections = 0;
+  /// Newer store versions that failed validation and were NOT swapped in.
   uint64_t rejected_swaps = 0;
-  /// Overload-control counters (PR 10, appended fields): requests whose
-  /// compute was cooperatively cancelled mid-flight after their deadline
-  /// expired, and jobs shed from the admission queue (displaced by
-  /// interactive arrivals or CoDel-dropped for over-target sojourn).
+  /// Requests whose compute was cooperatively cancelled mid-flight after
+  /// their deadline expired (LF application / inference stopped at a chunk
+  /// boundary instead of running to completion).
   uint64_t expired_work_cancelled = 0;
+  /// Jobs shed from the admission queue: displaced by an interactive
+  /// arrival, or CoDel-dropped at pop for over-target sojourn.
   uint64_t shed_total = 0;
 };
 

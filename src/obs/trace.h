@@ -9,7 +9,7 @@
 // corpus intern, queue wait, LF apply, inference, encode) against that id.
 // Spans accumulate in a per-thread buffer — no locks on the hot path — and
 // are flushed into one bounded process-global ring when the root span of a
-// request completes (or explicitly, for detached attempt threads). The ring
+// request completes (or explicitly, by fan-out and worker threads). The ring
 // is drained over the kTraceRequest RPC and stitched across processes by
 // tools/trace_dump.
 //
@@ -75,7 +75,7 @@ TraceContext CurrentTraceContext();
 
 /// Installs `ctx` as the current thread's context for the scope's lifetime
 /// and restores the previous one after — used to carry a request's identity
-/// onto worker / attempt threads.
+/// onto worker / fan-out threads.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(TraceContext ctx);
@@ -122,8 +122,8 @@ uint64_t EmitSpan(const TraceContext& ctx, const char* name,
 // -------------------------------------------------------- buffers / export
 
 /// Moves this thread's completed spans into the process-global ring. Called
-/// automatically when a root span closes; call explicitly before signaling
-/// completion from detached attempt threads so the drain sees their spans.
+/// automatically when a root span closes; call explicitly before a fan-out
+/// or worker thread signals completion so the drain sees its spans.
 void FlushThreadSpans();
 
 /// Returns ring spans with the given trace id (0 matches all), oldest

@@ -28,8 +28,8 @@ struct Registry {
   std::unordered_map<std::string, uint64_t> retired_injected;
 };
 
-/// Leaked singletons: injection sites are called from detached threads that
-/// may outlive static destruction order.
+/// Leaked singletons: injection sites may still be called from threads that
+/// run during static destruction.
 Registry& GetRegistry() {
   static Registry* registry = new Registry();
   return *registry;

@@ -2,8 +2,8 @@
 // format (round-trips, skip-unknown, typed corruption), the SnapshotStore's
 // atomic versioned publication, and the loopback serving path — ShardServer
 // + RemoteShardClient/RemoteShardRouter bitwise parity with an in-process
-// LabelService, typed backpressure/deadlines, health fail-fast, hedged
-// retries, partial degradation, and zero-downtime snapshot hot-swap.
+// LabelService, typed backpressure/deadlines, health fail-fast, partial
+// degradation, and zero-downtime snapshot hot-swap.
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -992,41 +992,56 @@ TEST(RemoteClientTest, ConsecutiveTransportFailuresTripFailFast) {
   std::remove(path.c_str());
 }
 
-TEST(RemoteClientTest, HedgedRetryWinsTheInjectedLatencyTail) {
-  NetFixture fx(32);
+TEST(RemoteClientTest, ProbeThatSpendsItsBudgetBeforeSendingReArmsTheBreaker) {
+  // A dead endpoint: bind a port, then shut the server down.
+  NetFixture fx(8);
   ModelSnapshot snapshot = fx.MakeSnapshot(fx.MakeLfs());
-  std::string path = TempPath("hedge.snk");
+  std::string path = TempPath("dead_probe.snk");
   ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
-  LabelResponse expected = fx.Expected(snapshot, /*include_votes=*/false);
+  auto server = ShardServer::Serve(path, fx.MakeLfs(), {});
+  ASSERT_TRUE(server.ok());
+  uint16_t dead_port = server->port();
+  server->Shutdown();
 
-  ShardServer::Options options;
-  options.num_workers = 4;  // Hedge attempts must not queue behind losers.
-  options.queue_capacity = 16;
-  options.inject_delay_every_n = 2;  // Every 2nd request is tail latency.
-  options.inject_delay_ms = 400;
-  auto server = ShardServer::Serve(path, fx.MakeLfs(), options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  RemoteShardClient::Options options;
+  options.port = dead_port;
+  options.connect_timeout_ms = 200;
+  options.unhealthy_threshold = 1;
+  options.unhealthy_cooldown_ms = 20;
+  options.unhealthy_cooldown_jitter = 0.0;
+  RemoteShardClient client = RemoteShardClient::Create(options);
 
-  RemoteShardClient::Options client_options;
-  client_options.port = server->port();
-  client_options.enable_hedging = true;
-  client_options.hedge_delay_ms = 50;
-  RemoteShardClient client = RemoteShardClient::Create(client_options);
+  std::vector<CandidateRef> small = MakeCandidateRefs(fx.candidates);
+  auto trip = client.Label(fx.corpus, small, false, true, 500);
+  ASSERT_FALSE(trip.ok());
+  EXPECT_FALSE(client.stats().healthy);
 
-  std::vector<CandidateRef> rows = MakeCandidateRefs(fx.candidates);
-  for (int round = 0; round < 4; ++round) {
-    auto actual = client.Label(fx.corpus, rows, false, true, 5000);
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    // The race is safe because both attempts are bit-identical.
-    EXPECT_EQ(actual->posteriors, expected.posteriors);
-  }
-  RemoteShardClient::Stats stats = client.stats();
-  EXPECT_EQ(stats.requests, 4u);
-  EXPECT_EQ(stats.failures, 0u);
-  // The injected every-2nd-request tail guarantees at least one slow first
-  // attempt whose hedge completed first.
-  EXPECT_GE(stats.hedged_attempts, 1u);
-  EXPECT_GE(stats.hedged_wins, 1u);
+  // Past the cooldown the next call wins the half-open probe slot, but its
+  // 1 ms budget is gone before the batch is encoded: it fails without ever
+  // reaching the wire. Encoding 20k rows takes well over 1 ms.
+  NetFixture big(20'000);
+  std::vector<CandidateRef> rows = MakeCandidateRefs(big.candidates);
+  ASSERT_GE(rows.size(), 20'000u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  bool failed_fast = true;
+  auto spent = client.Label(big.corpus, rows, false, true, /*deadline_ms=*/1,
+                            &failed_fast);
+  ASSERT_FALSE(spent.ok());
+  EXPECT_EQ(spent.status().code(), StatusCode::kDeadlineExceeded)
+      << spent.status().ToString();
+  EXPECT_FALSE(failed_fast);
+
+  // The unsent probe re-armed the cooldown instead of holding the probe slot
+  // forever: after the next cooldown a call is admitted again and gets the
+  // real connect failure, not a fail-fast.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  failed_fast = true;
+  auto probe = client.Label(fx.corpus, small, false, true, 500, &failed_fast);
+  ASSERT_FALSE(probe.ok());
+  EXPECT_EQ(probe.status().code(), StatusCode::kUnavailable)
+      << probe.status().ToString();
+  EXPECT_FALSE(failed_fast) << probe.status().ToString();
+  EXPECT_EQ(client.stats().fail_fast, 0u);
   std::remove(path.c_str());
 }
 

@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   server->Shutdown();
-  ShardServer::Stats stats = server->stats();
+  WireServerStats stats = server->stats();
   std::fprintf(stderr,
                "shard_server exiting: %llu requests, %llu candidates, "
                "%llu rejections, %llu shed, %llu cancelled, "
