@@ -1,7 +1,8 @@
 // Performance microbenchmarks (google-benchmark) for the §3.1-3.2 speed
 // claims: the MV shortcut vs generative-model training (up to 1.8x per
 // pipeline execution), the linear cost of correlations in the Gibbs
-// sampler, structure-learning sweep cost, and LF application throughput.
+// sampler, structure-learning sweep cost, LF application throughput, and
+// the serving column cache's unadmitted and admitted-miss paths.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "core/optimizer.h"
 #include "core/structure_learner.h"
 #include "lf/applier.h"
+#include "serve/incremental_applier.h"
 #include "synth/relation_task.h"
 #include "synth/synthetic_matrix.h"
 
@@ -185,6 +187,74 @@ void BM_LfApplicationInterpreted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LfApplicationInterpreted)->Arg(1)->Arg(2);
+
+/// Serving-shaped sub-batches for the column-cache cases: 128 rows of the
+/// CDR task, reporting indices that advance with `batch`, so every batch is
+/// a set the cache has never seen (the fresh-stream rule).
+const RelationTask& ServingTask() {
+  static const RelationTask* task = [] {
+    auto result = MakeCdrTask(42, 0.25);
+    return new RelationTask(std::move(result).value());
+  }();
+  return *task;
+}
+
+std::vector<CandidateRef> FreshBatch(uint64_t batch) {
+  constexpr size_t kRows = 128;
+  const std::vector<Candidate>& candidates = ServingTask().candidates;
+  std::vector<CandidateRef> rows(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    const size_t row = (batch * kRows + i) % candidates.size();
+    rows[i] = CandidateRef{&candidates[row], batch * kRows + i};
+  }
+  return rows;
+}
+
+/// One-shot traffic: every Apply is a set's first sighting, served from
+/// request-local columns without touching the cache.
+void BM_IncrementalApplyFirstSighting(benchmark::State& state) {
+  const RelationTask& task = ServingTask();
+  IncrementalApplier applier(
+      IncrementalApplier::Options{.num_threads = 1, .cardinality = 2});
+  uint64_t batch = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::vector<CandidateRef> rows = FreshBatch(batch++);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        applier.ApplyRefs(task.lfs, task.corpus, rows).ok());
+  }
+}
+BENCHMARK(BM_IncrementalApplyFirstSighting);
+
+/// An admitted miss against a cache filled to its byte budget: each timed
+/// Apply is a set's second sighting, so it inserts the set's columns and
+/// evicts the least recently used set.
+void BM_IncrementalApplyAdmittedMissFullCache(benchmark::State& state) {
+  const RelationTask& task = ServingTask();
+  IncrementalApplier applier(IncrementalApplier::Options{
+      .num_threads = 1, .cardinality = 2, .max_cached_bytes = 4u << 20});
+  uint64_t batch = 0;
+  while (applier.stats().evicted_sets == 0) {
+    const std::vector<CandidateRef> rows = FreshBatch(batch++);
+    for (int sighting = 0; sighting < 2; ++sighting) {
+      if (!applier.ApplyRefs(task.lfs, task.corpus, rows).ok()) {
+        state.SkipWithError("fill apply failed");
+        return;
+      }
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::vector<CandidateRef> rows = FreshBatch(batch++);
+    bool ok = applier.ApplyRefs(task.lfs, task.corpus, rows).ok();
+    state.ResumeTiming();
+    ok = applier.ApplyRefs(task.lfs, task.corpus, rows).ok() && ok;
+    benchmark::DoNotOptimize(ok);
+  }
+  state.counters["cached_sets"] = static_cast<double>(applier.cached_sets());
+}
+BENCHMARK(BM_IncrementalApplyAdmittedMissFullCache);
 
 }  // namespace
 }  // namespace snorkel

@@ -507,10 +507,11 @@ int main(int argc, char** argv) {
       slot = std::max(slot, cps);
     }
   }
-  // Column reuse on the SECOND A/B cycle, measured single-threaded on a
-  // fresh service: cycle 1 computes both sets' columns, cycle 2 must reuse
-  // them all (the acceptance bar for the multi-set cache).
-  double second_cycle_reuse = 0.0;
+  // Column reuse on the THIRD A/B cycle, measured single-threaded on a
+  // fresh service: cycle 1 is each set's first sighting (computed, not
+  // cached), cycle 2 admits and caches both sets' columns, and cycle 3 must
+  // reuse them all (the acceptance bar for the multi-set cache).
+  double third_cycle_reuse = 0.0;
   {
     auto reuse_service = LabelService::Create(*snapshot, task->lfs, {});
     if (!reuse_service.ok()) {
@@ -527,14 +528,15 @@ int main(int argc, char** argv) {
       }
     };
     serve_cycle();
-    ServiceStats after_first = reuse_service->stats();
     serve_cycle();
-    ServiceStats after_second = reuse_service->stats();
-    double reused = static_cast<double>(after_second.lf_columns_reused -
-                                        after_first.lf_columns_reused);
-    double computed = static_cast<double>(after_second.lf_columns_computed -
-                                          after_first.lf_columns_computed);
-    second_cycle_reuse =
+    ServiceStats after_admission = reuse_service->stats();
+    serve_cycle();
+    ServiceStats after_third = reuse_service->stats();
+    double reused = static_cast<double>(after_third.lf_columns_reused -
+                                        after_admission.lf_columns_reused);
+    double computed = static_cast<double>(after_third.lf_columns_computed -
+                                          after_admission.lf_columns_computed);
+    third_cycle_reuse =
         reused + computed > 0.0 ? reused / (reused + computed) : 0.0;
   }
   TablePrinter altset({"Config", "cand/s (wall)", "Vs cache-off"});
@@ -542,10 +544,10 @@ int main(int argc, char** argv) {
                  TablePrinter::Cell(alt_cached_cps / alt_nocache_cps, 2)});
   altset.AddRow({"cache off", TablePrinter::Cell(alt_nocache_cps, 0), "1.00"});
   std::printf("\nAlternating sets A/B (%d concurrent callers, batch=%zu, "
-              "best of %d trials after warmup; second-cycle column reuse "
+              "best of %d trials after warmup; third-cycle column reuse "
               "%.1f%%):\n%s",
               kAltCallers, kAltBatchSize, kAltTrials - 1,
-              100.0 * second_cycle_reuse, altset.ToString().c_str());
+              100.0 * third_cycle_reuse, altset.ToString().c_str());
 
   // ---- Append-only candidate stream: each request is the full log so
   // far, grown by 256 candidates per step. The cache recognizes the cached
@@ -616,6 +618,12 @@ int main(int argc, char** argv) {
   const size_t k = task->lfs.size();
   IncrementalApplier applier(
       IncrementalApplier::Options{.num_threads = 0, .cardinality = 2});
+  // The set's first sighting is served without caching; the timed full
+  // apply is its second, which admits it and caches all k columns.
+  if (!applier.Apply(task->lfs, task->corpus, task->candidates).ok()) {
+    std::fprintf(stderr, "apply failed\n");
+    return 1;
+  }
   WallTimer full_timer;
   auto full = applier.Apply(task->lfs, task->corpus, task->candidates);
   double full_seconds = full_timer.ElapsedSeconds();
@@ -760,9 +768,9 @@ int main(int argc, char** argv) {
                  "}},\n"
                  "  \"altset\": {\"callers\": %d, \"batch\": %zu, "
                  "\"cached_cps\": %.1f, \"nocache_cps\": %.1f, "
-                 "\"second_cycle_reuse\": %.4f},\n",
+                 "\"third_cycle_reuse\": %.4f},\n",
                  kAltCallers, kAltBatchSize, alt_cached_cps, alt_nocache_cps,
-                 second_cycle_reuse);
+                 third_cycle_reuse);
     std::fprintf(out,
                  "  \"appendstream\": {\"steps\": %zu, \"rows_final\": %zu, "
                  "\"cached_s\": %.4f, \"nocache_s\": %.4f, "

@@ -34,6 +34,6 @@ int main() {
   std::printf(
       "Note: the generative model's label quality advantage (lower Brier) is "
       "consistent across tasks; the end-model lift depends on the end model "
-      "family — see EXPERIMENTS.md for discussion.\n");
+      "family — ROADMAP.md item 1 tracks the gap to the paper's lifts.\n");
   return 0;
 }

@@ -9,9 +9,11 @@
 
 namespace snorkel {
 
-/// Shared hyper-parameters for the discriminative models. Mirrors the
-/// paper's end-model training setup: Adam, minibatches, a small labeled dev
-/// set for model selection (§4.1 "Discriminative Models").
+/// Shared hyper-parameters for the discriminative models. Follows the
+/// paper's end-model training setup (§4.1 "Discriminative Models") —
+/// minibatches and a small labeled dev set for model selection — except for
+/// the optimizer: Fit takes per-coordinate AdaGrad steps where the paper
+/// uses Adam, so an update touches only the active hashed features.
 struct DiscModelOptions {
   int epochs = 20;
   double learning_rate = 0.05;

@@ -8,6 +8,7 @@
 #include "net/health.h"
 #include "net/socket.h"
 #include "obs/trace.h"
+#include "util/fault.h"
 #include "util/hash.h"
 
 namespace snorkel {
@@ -258,8 +259,12 @@ Result<LabelResponse> RemoteShardClient::Label(
   EncodedLabelBatch batch = EncodeLabelBatch(corpus, rows);
   uint64_t hint = 0;
   Result<LabelResponse> result(Status::Internal("unset"));
-  if (deadline != kNoDeadline &&
-      std::chrono::steady_clock::now() >= deadline) {
+  // The "client.encode" fault site stands for a slow encode: a delay eats
+  // into the budget, and a failure is a budget spent before sending.
+  const bool sent = !fault::Point("client.encode") &&
+                    (deadline == kNoDeadline ||
+                     std::chrono::steady_clock::now() < deadline);
+  if (!sent) {
     // RemainingMs would encode 0 — which means "no deadline" on the wire —
     // so fail here instead of asking the server for unbounded patience.
     result = impl.NotSent(admission,
@@ -280,11 +285,13 @@ Result<LabelResponse> RemoteShardClient::Label(
   if (limited) {
     // Teach the limiter the outcome: overload signals shrink it (and a
     // retry-after hint gates new acquisitions); success grows it; anything
-    // else says nothing about the shard's load.
+    // else — including a budget spent here before the shard saw the
+    // request — says nothing about the shard's load.
     if (result.ok()) {
       impl.limiter.ReleaseSuccess();
-    } else if (result.status().code() == StatusCode::kResourceExhausted ||
-               result.status().code() == StatusCode::kDeadlineExceeded) {
+    } else if (sent &&
+               (result.status().code() == StatusCode::kResourceExhausted ||
+                result.status().code() == StatusCode::kDeadlineExceeded)) {
       impl.limiter.ReleaseOverload(hint);
     } else {
       impl.limiter.ReleaseNeutral();

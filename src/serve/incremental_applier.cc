@@ -1,9 +1,11 @@
 #include "serve/incremental_applier.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
@@ -31,6 +33,11 @@ uint64_t HashSpan(uint64_t h, const Span& span) {
   return h;
 }
 
+/// Seals a chain value at `count` rows into a set digest.
+uint64_t SealDigest(uint64_t chain, uint64_t count) {
+  return HashCombine(chain, count);
+}
+
 }  // namespace
 
 CandidateFingerprinter::CandidateFingerprinter(uint64_t salt)
@@ -44,7 +51,7 @@ void CandidateFingerprinter::Add(const Candidate& candidate, size_t index) {
 }
 
 SetFingerprint CandidateFingerprinter::Finish() const {
-  return SetFingerprint{HashCombine(chain_, count_), chain_, count_};
+  return SetFingerprint{SealDigest(chain_, count_), chain_, count_};
 }
 
 SetFingerprint FingerprintCandidates(const std::vector<Candidate>& candidates,
@@ -64,6 +71,35 @@ SetFingerprint FingerprintCandidateRefs(const std::vector<CandidateRef>& rows,
 // --------------------------------------------------------------- internals --
 
 namespace {
+
+/// Doorkeeper capacity: digests of sets seen once and not admitted,
+/// direct-mapped. A set is admitted when it comes back before another first
+/// sighting overwrites its slot (on average, 4096 other first sightings).
+constexpr size_t kDoorkeeperSlots = 4096;
+/// Row counts of remembered sets, direct-mapped by count: the prefix lengths
+/// a miss checks for "extends a remembered set".
+constexpr size_t kRememberedCountSlots = 64;
+/// A thread's chain scratch grown past this many rows is released on its
+/// next smaller request, so one huge apply does not pin its buffer forever.
+constexpr size_t kRetainedChainRows = size_t{1} << 16;
+
+size_t DoorkeeperSlot(uint64_t digest) {
+  return static_cast<size_t>((digest * 0x9e3779b97f4a7c15ULL) >> 52);
+}
+static_assert(kDoorkeeperSlots == size_t{1} << 12);
+
+/// The chain value after each row of the calling thread's current request
+/// (row i at [i]), so a miss can test every prefix length against the
+/// cached and remembered sets without rehashing any row. Reused across
+/// calls: steady-state requests allocate nothing here.
+uint64_t* ChainScratch(size_t rows) {
+  thread_local std::vector<uint64_t> chains;
+  if (chains.size() < rows ||
+      chains.size() > std::max(rows, kRetainedChainRows)) {
+    chains = std::vector<uint64_t>(rows);
+  }
+  return chains.data();
+}
 
 enum class ColumnState : uint8_t {
   kComputing,  // Claimed by exactly one Apply call; losers wait.
@@ -94,6 +130,10 @@ struct SetEntry {
   std::atomic<int> pins{0};
   /// Published label bytes in this entry (only grows while pinned).
   std::atomic<uint64_t> bytes{0};
+  /// In the set map, so its bytes count toward the applier's running total.
+  /// Cleared under exclusive sets_mu when the entry is dropped; publishers
+  /// read it under shared sets_mu.
+  bool resident = true;
 
   /// Guards the column map's STRUCTURE only (find/insert/erase); column
   /// contents are published through Column::state.
@@ -105,16 +145,39 @@ struct SetEntry {
   std::condition_variable wait_cv;
 };
 
+using SetMap = std::unordered_map<uint64_t, std::shared_ptr<SetEntry>>;
+
+/// One column for the compute loop: LF `lf_index` into `labels` (m entries)
+/// over rows [start_row, m); rows below start_row hold a cached prefix.
+struct ColumnTask {
+  size_t lf_index = 0;
+  Label* labels = nullptr;
+  size_t start_row = 0;
+};
+
 }  // namespace
 
 struct IncrementalApplier::State {
   Options options;
 
-  /// Guards the set map's structure; hits take it shared.
+  /// Guards the set map's structure, the row-count index and the resident
+  /// flags; hits take it shared.
   mutable std::shared_mutex sets_mu;
-  std::unordered_map<uint64_t, std::shared_ptr<SetEntry>> sets;
+  SetMap sets;
+  /// Row count -> number of cached sets with that count: the prefix lengths
+  /// a miss probes for an append-extension base.
+  std::map<uint64_t, size_t> cached_counts;
+  /// Published label bytes over the resident sets, kept as a running total.
+  /// Publishes add under shared sets_mu; drops subtract under exclusive.
+  std::atomic<uint64_t> cached_bytes{0};
 
-  /// LRU clock, bumped once per Apply.
+  /// The doorkeeper (TinyLFU-style): a set's columns are admitted to the
+  /// cache on its second sighting. Read only after the cached-set lookup
+  /// missed; lock-free, and a lost race only delays one admission.
+  std::array<std::atomic<uint64_t>, kDoorkeeperSlots> seen_digests{};
+  std::array<std::atomic<uint64_t>, kRememberedCountSlots> seen_counts{};
+
+  /// LRU clock, bumped once per fingerprinted Apply.
   std::atomic<uint64_t> tick{0};
 
   // Cumulative counters (relaxed; stats() is a snapshot, not a barrier).
@@ -122,6 +185,7 @@ struct IncrementalApplier::State {
   std::atomic<uint64_t> columns_computed{0};
   std::atomic<uint64_t> set_hits{0};
   std::atomic<uint64_t> set_misses{0};
+  std::atomic<uint64_t> unadmitted_sets{0};
   std::atomic<uint64_t> appended_rows{0};
   std::atomic<uint64_t> evicted_sets{0};
 
@@ -138,28 +202,23 @@ struct IncrementalApplier::State {
   explicit State(Options opts)
       : options(opts), pool(MakeDedicatedPool(opts.num_threads)) {
     auto& registry = obs::MetricsRegistry::Default();
-    auto expose = [&](const char* name, std::atomic<uint64_t>* counter) {
-      metric_tokens.push_back(registry.RegisterCallback(
-          name, obs::MetricType::kCounter, [counter]() {
+    auto expose = [&](const char* name, obs::MetricType type,
+                      std::atomic<uint64_t>* counter) {
+      metric_tokens.push_back(
+          registry.RegisterCallback(name, type, [counter]() {
             return static_cast<double>(
                 counter->load(std::memory_order_relaxed));
           }));
     };
-    expose("snorkel_cache_columns_reused_total", &columns_reused);
-    expose("snorkel_cache_columns_computed_total", &columns_computed);
-    expose("snorkel_cache_set_hits_total", &set_hits);
-    expose("snorkel_cache_set_misses_total", &set_misses);
-    expose("snorkel_cache_appended_rows_total", &appended_rows);
-    expose("snorkel_cache_evicted_sets_total", &evicted_sets);
-    metric_tokens.push_back(registry.RegisterCallback(
-        "snorkel_cache_bytes", obs::MetricType::kGauge, [this]() {
-          std::shared_lock<std::shared_mutex> lock(sets_mu);
-          uint64_t total = 0;
-          for (const auto& [digest, entry] : sets) {
-            total += entry->bytes.load(std::memory_order_relaxed);
-          }
-          return static_cast<double>(total);
-        }));
+    const obs::MetricType counter = obs::MetricType::kCounter;
+    expose("snorkel_cache_columns_reused_total", counter, &columns_reused);
+    expose("snorkel_cache_columns_computed_total", counter, &columns_computed);
+    expose("snorkel_cache_set_hits_total", counter, &set_hits);
+    expose("snorkel_cache_set_misses_total", counter, &set_misses);
+    expose("snorkel_cache_unadmitted_sets_total", counter, &unadmitted_sets);
+    expose("snorkel_cache_appended_rows_total", counter, &appended_rows);
+    expose("snorkel_cache_evicted_sets_total", counter, &evicted_sets);
+    expose("snorkel_cache_bytes", obs::MetricType::kGauge, &cached_bytes);
   }
 
   ~State() {
@@ -167,9 +226,195 @@ struct IncrementalApplier::State {
     for (uint64_t token : metric_tokens) registry.UnregisterCallback(token);
   }
 
-  void ParallelRows(size_t begin, size_t end,
-                    const std::function<void(size_t)>& fn) {
-    ParallelApplyRows(pool.get(), options.num_threads, begin, end, fn);
+  bool Remembered(uint64_t digest) const {
+    return seen_digests[DoorkeeperSlot(digest)].load(
+               std::memory_order_relaxed) == digest;
+  }
+
+  void Remember(const SetFingerprint& fp) {
+    seen_digests[DoorkeeperSlot(fp.digest)].store(fp.digest,
+                                                  std::memory_order_relaxed);
+    if (fp.count > 0) {
+      seen_counts[fp.count % kRememberedCountSlots].store(
+          fp.count, std::memory_order_relaxed);
+    }
+  }
+
+  /// True when a proper prefix of an m-row request (chains[c - 1] is its
+  /// chain after c rows) is a remembered set: the second request of an
+  /// append-only stream.
+  bool ExtendsRemembered(const uint64_t* chains, size_t m) const {
+    for (const auto& slot : seen_counts) {
+      const uint64_t count = slot.load(std::memory_order_relaxed);
+      if (count > 0 && count < m &&
+          Remembered(SealDigest(chains[count - 1], count))) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// The longest cached proper prefix of an m-row request, probed by digest
+  /// at each distinct cached row count. Caller holds sets_mu (shared).
+  std::shared_ptr<SetEntry> LongestCachedPrefix(const uint64_t* chains,
+                                                size_t m) const {
+    for (auto it = cached_counts.lower_bound(m);
+         it != cached_counts.begin();) {
+      --it;
+      if (it->first == 0) break;
+      auto found = sets.find(SealDigest(chains[it->first - 1], it->first));
+      if (found != sets.end()) return found->second;
+    }
+    return nullptr;
+  }
+
+  /// Drops one set from the map; in-flight Apply calls keep it alive via
+  /// shared_ptr and publish into it harmlessly (it is no longer resident).
+  /// Caller holds sets_mu exclusively.
+  void DropSet(SetMap::iterator it) {
+    SetEntry& entry = *it->second;
+    entry.resident = false;
+    cached_bytes.fetch_sub(entry.bytes.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+    auto count = cached_counts.find(entry.fp.count);
+    if (--count->second == 0) cached_counts.erase(count);
+    sets.erase(it);
+  }
+
+  /// The one LF compute loop, for admitted sets (tasks write into claimed
+  /// cache columns) and unadmitted ones (request-local buffers) alike:
+  /// compiled dispatch scans each distinct sentence of the rows to compute
+  /// once, then every row answers its tasks from the hit stream or the
+  /// interpreter. Bitwise-identical either way, so columns stay
+  /// interchangeable. Returns a bad vote or an expired deadline typed.
+  Status Compute(const LabelingFunctionSet& lfs, const Corpus& corpus,
+                 RowSource rows, const std::vector<ColumnTask>& tasks,
+                 const CancelToken* cancel) {
+    const size_t m = rows.size;
+    size_t min_start = m;
+    for (const ColumnTask& task : tasks) {
+      min_start = std::min(min_start, task.start_row);
+    }
+    std::shared_ptr<const CompiledLfProgram> program;
+    if (options.use_compiled) {
+      if (options.compiled_program &&
+          ProgramMatchesLfSet(*options.compiled_program, lfs)) {
+        program = options.compiled_program;
+      } else {
+        program = GetOrCompileProgram(lfs);
+      }
+      bool any_compiled_task = false;
+      for (const ColumnTask& task : tasks) {
+        if (program->slot_of_lf[task.lf_index] >= 0) {
+          any_compiled_task = true;
+          break;
+        }
+      }
+      if (!any_compiled_task) program = nullptr;
+    }
+    std::optional<CompiledLfBatch> batch;
+    if (program != nullptr && min_start < m) {
+      std::vector<const Candidate*> candidates(m, nullptr);
+      for (size_t i = min_start; i < m; ++i) {
+        candidates[i] = &rows.candidate(i);
+      }
+      batch.emplace(program, corpus, candidates, min_start);
+    }
+
+    std::atomic<bool> has_error{false};
+    std::atomic<size_t> error_col{0};
+    std::atomic<Label> error_label{0};
+    // Latched when the caller's deadline expires mid-compute; the partial
+    // columns are then discarded (never cached half-filled).
+    std::atomic<bool> cancelled{false};
+    auto compute_row = [&](size_t i) {
+      // Cooperative cancellation at row chunk boundaries: probe the clock
+      // only every 64 rows (the token latches, so after first expiry this
+      // is a relaxed load for every sibling thread).
+      if ((i & 63) == 0 && cancel != nullptr && cancel->Expired()) {
+        cancelled.store(true, std::memory_order_relaxed);
+        return;
+      }
+      if (cancelled.load(std::memory_order_relaxed)) return;
+      CandidateView view(&corpus, &rows.candidate(i), rows.index(i));
+      for (const ColumnTask& task : tasks) {
+        if (i < task.start_row) continue;
+        int32_t slot = batch ? program->slot_of_lf[task.lf_index] : -1;
+        Label label = slot >= 0
+                          ? batch->Eval(static_cast<uint32_t>(slot), i)
+                          : lfs.at(task.lf_index).Apply(view);
+        if (!LabelValidFor(label, options.cardinality)) {
+          bool expected = false;
+          if (has_error.compare_exchange_strong(expected, true)) {
+            error_col.store(task.lf_index);
+            error_label.store(label);
+          }
+          return;
+        }
+        task.labels[i] = label;
+      }
+    };
+    // Shared applier threading convention (util/thread_pool.h).
+    ParallelApplyRows(pool.get(), options.num_threads, min_start, m,
+                      compute_row);
+    if (has_error.load()) {
+      return Status::InvalidArgument(
+          "LF '" + lfs.at(error_col.load()).name() + "' voted " +
+          std::to_string(error_label.load()) + ", invalid for cardinality " +
+          std::to_string(options.cardinality));
+    }
+    if (cancelled.load()) {
+      return Status::DeadlineExceeded(
+          "request deadline expired during LF application; no partial "
+          "column was cached");
+    }
+    return Status::OK();
+  }
+
+  /// Λ (m rows, n LFs) from the column `column_of(j)` resolved for each LF
+  /// position j (m labels each).
+  template <typename ColumnOf>
+  Result<LabelMatrix> Assemble(size_t m, size_t n, ColumnOf column_of) const {
+    std::vector<std::tuple<size_t, size_t, Label>> triplets;
+    for (size_t j = 0; j < n; ++j) {
+      const Label* column = column_of(j);
+      for (size_t i = 0; i < m; ++i) {
+        if (column[i] != kAbstain) triplets.emplace_back(i, j, column[i]);
+      }
+    }
+    return LabelMatrix::FromTriplets(m, n, triplets, options.cardinality);
+  }
+
+  /// Serves a set without admitting it: each distinct LF column is computed
+  /// into a request-local buffer. No set entry, no column, no cache lock.
+  Result<LabelMatrix> ApplyUnadmitted(const LabelingFunctionSet& lfs,
+                                      const Corpus& corpus, RowSource rows,
+                                      const CancelToken* cancel) {
+    const size_t m = rows.size;
+    const size_t n = lfs.size();
+    unadmitted_sets.fetch_add(1, std::memory_order_relaxed);
+    // LFs sharing a fingerprint share one column, as in the cache.
+    std::vector<uint64_t> fingerprints;
+    std::vector<std::vector<Label>> buffers;
+    buffers.reserve(n);
+    std::vector<ColumnTask> tasks;
+    std::vector<const Label*> by_position(n);
+    for (size_t j = 0; j < n; ++j) {
+      const uint64_t lf_fp = lfs.at(j).fingerprint();
+      const size_t seen = static_cast<size_t>(
+          std::find(fingerprints.begin(), fingerprints.end(), lf_fp) -
+          fingerprints.begin());
+      if (seen == fingerprints.size()) {
+        fingerprints.push_back(lf_fp);
+        buffers.emplace_back(m, kAbstain);
+        tasks.push_back(ColumnTask{j, buffers.back().data(), 0});
+      }
+      by_position[j] = buffers[seen].data();
+    }
+    Status status = Compute(lfs, corpus, rows, tasks, cancel);
+    if (!status.ok()) return status;
+    columns_computed.fetch_add(tasks.size(), std::memory_order_relaxed);
+    return Assemble(m, n, [&](size_t j) { return by_position[j]; });
   }
 
   /// Set when an eviction pass left the cache over budget because every
@@ -182,15 +427,16 @@ struct IncrementalApplier::State {
 
   /// Evicts least-recently-used, unpinned sets until the cached bytes fit
   /// the budget (or only pinned sets remain — then the last unpinner
-  /// retries via evict_pending). Exclusive over sets_mu; the hit path only
-  /// calls this when a deferred pass is actually pending.
+  /// retries via evict_pending). Within budget it returns on the running
+  /// total without a lock; otherwise it is exclusive over sets_mu.
   void EvictOverBudget() {
-    std::unique_lock<std::shared_mutex> lock(sets_mu);
-    uint64_t total = 0;
-    for (const auto& [digest, entry] : sets) {
-      total += entry->bytes.load(std::memory_order_relaxed);
+    const uint64_t budget = options.max_cached_bytes;
+    if (cached_bytes.load(std::memory_order_relaxed) <= budget &&
+        !evict_pending.load(std::memory_order_relaxed)) {
+      return;
     }
-    while (total > options.max_cached_bytes) {
+    std::unique_lock<std::shared_mutex> lock(sets_mu);
+    while (cached_bytes.load(std::memory_order_relaxed) > budget) {
       auto victim = sets.end();
       uint64_t oldest = std::numeric_limits<uint64_t>::max();
       for (auto it = sets.begin(); it != sets.end(); ++it) {
@@ -202,11 +448,10 @@ struct IncrementalApplier::State {
         }
       }
       if (victim == sets.end()) break;  // Everything left is pinned.
-      total -= victim->second->bytes.load(std::memory_order_relaxed);
-      sets.erase(victim);
+      DropSet(victim);
       evicted_sets.fetch_add(1, std::memory_order_relaxed);
     }
-    evict_pending.store(total > options.max_cached_bytes,
+    evict_pending.store(cached_bytes.load(std::memory_order_relaxed) > budget,
                         std::memory_order_relaxed);
   }
 };
@@ -224,7 +469,10 @@ void IncrementalApplier::InvalidateAll() {
   std::unique_lock<std::shared_mutex> lock(state_->sets_mu);
   // In-flight Apply calls keep their entries alive via shared_ptr and
   // finish correctly against them; the orphans die with their last pin.
+  for (auto& [digest, entry] : state_->sets) entry->resident = false;
   state_->sets.clear();
+  state_->cached_counts.clear();
+  state_->cached_bytes.store(0, std::memory_order_relaxed);
 }
 
 void IncrementalApplier::Invalidate(uint64_t fingerprint) {
@@ -242,8 +490,9 @@ void IncrementalApplier::Invalidate(uint64_t fingerprint) {
     // returns recompute.
     if (it->second->state.load(std::memory_order_acquire) ==
         ColumnState::kReady) {
-      entry->bytes.fetch_sub(it->second->labels.size() * sizeof(Label),
-                             std::memory_order_relaxed);
+      const uint64_t bytes = it->second->labels.size() * sizeof(Label);
+      entry->bytes.fetch_sub(bytes, std::memory_order_relaxed);
+      state_->cached_bytes.fetch_sub(bytes, std::memory_order_relaxed);
     }
     entry->columns.erase(it);
   }
@@ -257,13 +506,12 @@ IncrementalApplier::Stats IncrementalApplier::stats() const {
       state_->columns_computed.load(std::memory_order_relaxed);
   stats.set_hits = state_->set_hits.load(std::memory_order_relaxed);
   stats.set_misses = state_->set_misses.load(std::memory_order_relaxed);
+  stats.unadmitted_sets =
+      state_->unadmitted_sets.load(std::memory_order_relaxed);
+  stats.bytes_cached = state_->cached_bytes.load(std::memory_order_relaxed);
   stats.appended_rows =
       state_->appended_rows.load(std::memory_order_relaxed);
   stats.evicted_sets = state_->evicted_sets.load(std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lock(state_->sets_mu);
-  for (const auto& [digest, entry] : state_->sets) {
-    stats.bytes_cached += entry->bytes.load(std::memory_order_relaxed);
-  }
   return stats;
 }
 
@@ -304,42 +552,36 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
     const LabelingFunctionSet& lfs, const Corpus& corpus, RowSource rows,
     const CancelToken* cancel) {
   State& state = *state_;
+  // A budget of 0 never admits a set, so there is nothing to look up.
+  if (state.options.max_cached_bytes == 0) {
+    return state.ApplyUnadmitted(lfs, corpus, rows, cancel);
+  }
   const size_t m = rows.size;
   const size_t n = lfs.size();
   const uint64_t tick =
       state.tick.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  // ---- Fingerprint the set, recording the chain at every row count a
-  // cached set has: those checkpoints are what detect "this request extends
-  // a cached set by appended rows". ----
-  std::unordered_map<uint64_t, uint64_t> chain_at;  // count -> chain.
-  {
-    std::shared_lock<std::shared_mutex> lock(state.sets_mu);
-    for (const auto& [digest, entry] : state.sets) {
-      if (entry->fp.count > 0 && entry->fp.count < m) {
-        chain_at.emplace(entry->fp.count, 0);
-      }
-    }
-  }
+  // ---- Fingerprint the set, keeping the chain after every row: a miss
+  // probes those prefixes for a cached set to extend ("the same log,
+  // grown") or a remembered one to admit. ----
   // Salt with the corpus identity: LFs read corpus text the row hash does
   // not cover, so same-shaped candidate sets from DIFFERENT corpora must
   // not share columns. Corpus::identity() is fresh per object and bumped by
   // every mutable access, so a corpus built at a freed corpus's address
   // cannot alias its columns (the address could).
+  uint64_t* chains = ChainScratch(m);
   CandidateFingerprinter fingerprinter(corpus.identity());
   for (size_t i = 0; i < m; ++i) {
     fingerprinter.Add(rows.candidate(i), rows.index(i));
-    auto checkpoint = chain_at.find(fingerprinter.count());
-    if (checkpoint != chain_at.end()) {
-      checkpoint->second = fingerprinter.chain();
-    }
+    chains[i] = fingerprinter.chain();
   }
   const SetFingerprint fp = fingerprinter.Finish();
 
-  // ---- Find or create the set entry. The hit path is a shared lock plus
-  // relaxed LRU-clock stores; only a brand-new set takes the exclusive
-  // lock. On a miss, the longest cached set whose chain matches one of the
-  // prefix checkpoints becomes the append-extension base. ----
+  // ---- Find the set entry. The hit path is a shared lock plus relaxed
+  // LRU-clock stores. A miss looks for the longest cached prefix under the
+  // same shared lock, then asks the doorkeeper: a set is admitted (and only
+  // then takes the exclusive lock to insert) when it was seen before, or
+  // when it extends a cached or remembered set. ----
   std::shared_ptr<SetEntry> entry;
   std::shared_ptr<SetEntry> base;
   bool inserted = false;
@@ -354,28 +596,29 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
   {
     std::shared_lock<std::shared_mutex> lock(state.sets_mu);
     auto it = state.sets.find(fp.digest);
-    if (it != state.sets.end()) acquire(it->second);
+    if (it != state.sets.end()) {
+      acquire(it->second);
+    } else {
+      base = state.LongestCachedPrefix(chains, m);
+    }
   }
   if (entry == nullptr) {
+    if (base == nullptr && !state.Remembered(fp.digest) &&
+        !state.ExtendsRemembered(chains, m)) {
+      // First sighting: remember it and serve it without caching.
+      state.Remember(fp);
+      return state.ApplyUnadmitted(lfs, corpus, rows, cancel);
+    }
     std::unique_lock<std::shared_mutex> lock(state.sets_mu);
     auto it = state.sets.find(fp.digest);
     if (it != state.sets.end()) {
       acquire(it->second);  // Lost a benign insert race: treat as a hit.
+      base = nullptr;
     } else {
-      uint64_t best_count = 0;
-      for (const auto& [digest, cached] : state.sets) {
-        if (cached->fp.count == 0 || cached->fp.count >= m) continue;
-        auto checkpoint = chain_at.find(cached->fp.count);
-        if (checkpoint == chain_at.end()) continue;
-        if (checkpoint->second != cached->fp.chain) continue;
-        if (cached->fp.count > best_count) {
-          best_count = cached->fp.count;
-          base = cached;
-        }
-      }
       auto fresh = std::make_shared<SetEntry>();
       fresh->fp = fp;
       state.sets.emplace(fp.digest, fresh);
+      ++state.cached_counts[fp.count];
       acquire(fresh);
       if (base != nullptr) {
         // Keep the base warm: extending it again next request should find
@@ -515,7 +758,7 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
       if (entry->columns.empty()) {
         auto it = state.sets.find(fp.digest);
         if (it != state.sets.end() && it->second == entry) {
-          state.sets.erase(it);
+          state.DropSet(it);
         }
       }
     }
@@ -539,7 +782,8 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
 
   if (!claimed.empty()) {
     abort_guard.armed = true;
-    size_t min_start = m;
+    std::vector<ColumnTask> tasks;
+    tasks.reserve(claimed.size());
     for (Claim& claim : claimed) {
       claim.column->labels.assign(m, kAbstain);
       if (claim.start_row > 0) {
@@ -547,98 +791,27 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
                   claim.base_column->labels.end(),
                   claim.column->labels.begin());
       }
-      min_start = std::min(min_start, claim.start_row);
+      tasks.push_back(ColumnTask{claim.lf_index, claim.column->labels.data(),
+                                 claim.start_row});
     }
-
-    // Compiled dispatch for the claimed columns that have compiled slots:
-    // scan each distinct sentence of the to-compute rows once, then answer
-    // those columns from the hit stream. Bitwise-identical to interpreting,
-    // so mixed cached/compiled/interpreted columns stay interchangeable.
-    std::shared_ptr<const CompiledLfProgram> program;
-    if (state.options.use_compiled) {
-      if (state.options.compiled_program &&
-          ProgramMatchesLfSet(*state.options.compiled_program, lfs)) {
-        program = state.options.compiled_program;
-      } else {
-        program = GetOrCompileProgram(lfs);
-      }
-      bool any_compiled_claim = false;
-      for (const Claim& claim : claimed) {
-        if (program->slot_of_lf[claim.lf_index] >= 0) {
-          any_compiled_claim = true;
-          break;
-        }
-      }
-      if (!any_compiled_claim) program = nullptr;
-    }
-    std::optional<CompiledLfBatch> batch;
-    if (program != nullptr && min_start < m) {
-      std::vector<const Candidate*> candidates(m, nullptr);
-      for (size_t i = min_start; i < m; ++i) {
-        candidates[i] = &rows.candidate(i);
-      }
-      batch.emplace(program, corpus, candidates, min_start);
-    }
-
-    std::atomic<bool> has_error{false};
-    std::atomic<size_t> error_col{0};
-    std::atomic<Label> error_label{0};
-    // Latched when the caller's deadline expires mid-compute; the claimed
-    // columns are then failed off the map (never cached half-filled).
-    std::atomic<bool> cancelled{false};
-    state.ParallelRows(min_start, m, [&](size_t i) {
-      // Cooperative cancellation at row chunk boundaries: probe the clock
-      // only every 64 rows (the token latches, so after first expiry this
-      // is a relaxed load for every sibling thread).
-      if ((i & 63) == 0 && cancel != nullptr && cancel->Expired()) {
-        cancelled.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (cancelled.load(std::memory_order_relaxed)) return;
-      CandidateView view(&corpus, &rows.candidate(i), rows.index(i));
-      for (const Claim& claim : claimed) {
-        if (i < claim.start_row) continue;
-        int32_t slot = batch ? program->slot_of_lf[claim.lf_index] : -1;
-        Label label = slot >= 0
-                          ? batch->Eval(static_cast<uint32_t>(slot), i)
-                          : lfs.at(claim.lf_index).Apply(view);
-        if (!LabelValidFor(label, state.options.cardinality)) {
-          bool expected = false;
-          if (has_error.compare_exchange_strong(expected, true)) {
-            error_col.store(claim.lf_index);
-            error_label.store(label);
-          }
-          return;
-        }
-        claim.column->labels[i] = label;
-      }
-    });
-    if (has_error.load()) {
-      Status error = Status::InvalidArgument(
-          "LF '" + lfs.at(error_col.load()).name() + "' voted " +
-          std::to_string(error_label.load()) + ", invalid for cardinality " +
-          std::to_string(state.options.cardinality));
+    Status status = state.Compute(lfs, corpus, rows, tasks, cancel);
+    if (!status.ok()) {
+      // A bad vote or an expired deadline: abandon the claims through the
+      // cache-safe path — pulled off the map (future lookups recompute),
+      // failed typed for anyone already waiting.
       abort_guard.armed = false;
-      fail_claims(error);
-      return error;
-    }
-    if (cancelled.load()) {
-      // Expired mid-compute: abandon the claims through the same
-      // cache-safe path a bad vote takes — pulled off the map (future
-      // lookups recompute), failed typed for anyone already waiting.
-      Status error = Status::DeadlineExceeded(
-          "request deadline expired during LF application; claimed columns "
-          "abandoned");
-      abort_guard.armed = false;
-      fail_claims(error);
-      return error;
+      fail_claims(status);
+      return status;
     }
     uint64_t appended = 0;
     {
-      // Exclusive over the map so the membership check AND the byte
+      // Exclusive over the column map so the membership check AND the byte
       // accounting serialize with Invalidate(): a claim dropped
       // mid-compute publishes for its own waiters but contributes no
       // bytes (it is off the map, and Invalidate subtracted nothing).
+      // Shared over sets_mu so a concurrent drop of this entry sees its
+      // bytes either all counted or none.
+      std::shared_lock<std::shared_mutex> sets_lock(state.sets_mu);
       std::unique_lock<std::shared_mutex> lock(entry->columns_mu);
       uint64_t published_bytes = 0;
       for (const Claim& claim : claimed) {
@@ -651,6 +824,10 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
                                   std::memory_order_release);
       }
       entry->bytes.fetch_add(published_bytes, std::memory_order_relaxed);
+      if (entry->resident) {
+        state.cached_bytes.fetch_add(published_bytes,
+                                     std::memory_order_relaxed);
+      }
     }
     abort_guard.armed = false;
     state.columns_computed.fetch_add(claimed.size(),
@@ -690,20 +867,11 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
       return by_position[j]->error;
     }
   }
-
-  // ---- Assemble Λ from the resolved columns (all ready, all length m). ----
-  std::vector<std::tuple<size_t, size_t, Label>> triplets;
-  for (size_t j = 0; j < n; ++j) {
-    const std::vector<Label>& column = by_position[j]->labels;
-    for (size_t i = 0; i < m; ++i) {
-      if (column[i] != kAbstain) triplets.emplace_back(i, j, column[i]);
-    }
-  }
-  Result<LabelMatrix> matrix = LabelMatrix::FromTriplets(
-      m, n, triplets, state.options.cardinality);
+  Result<LabelMatrix> matrix = state.Assemble(
+      m, n, [&](size_t j) { return by_position[j]->labels.data(); });
 
   // Miss paths grew the cache: enforce the byte budget before returning.
-  // The hit path never reaches here, so hits stay exclusive-lock-free.
+  // Hits skip this, so they stay exclusive-lock-free.
   if (!claimed.empty()) state.EvictOverBudget();
   return matrix;
 }

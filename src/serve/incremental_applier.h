@@ -74,20 +74,35 @@ SetFingerprint FingerprintCandidateRefs(const std::vector<CandidateRef>& rows,
 /// per (LF fingerprint, candidate-set fingerprint) pair, organized as
 /// per-set column maps under an LRU over sets with a byte budget. An edit to
 /// one LF recomputes only that column; alternating request batches (A/B/A/B)
-/// each keep their own columns and hit every time; and a set that extends a
-/// cached one by appending rows (the "candidates arrive in a growing log"
+/// each keep their own columns and, once admitted, hit every time; and a
+/// set that extends a cached one by appending rows (the "candidates arrive in a growing log"
 /// shape) reuses the cached prefix and computes only the tail rows.
+///
+/// Admission (TinyLFU-style): a set's columns enter the cache on its second
+/// sighting. A set seen for the first time is remembered in a fixed-size
+/// doorkeeper of set digests and served from request-local columns, with no
+/// cache entry, no exclusive lock and no eviction pass, so one-shot serving
+/// traffic costs a fingerprint and a few probes. A set is admitted when its
+/// digest is in the doorkeeper, or when one of its prefixes is a remembered
+/// or cached set. So A/B/A/B batches hit from their third cycle, an
+/// append-only stream computes only its tail from its third request, and
+/// the first edit of a §4.1 session recomputes every column once (the
+/// initial apply was the first sighting); every later edit recomputes one.
+/// The doorkeeper is consulted only after the cached-set lookup misses, so
+/// hits never pay for it.
 ///
 /// Thread-safe, read-mostly: cache hits take shared locks and per-entry
 /// atomics only — no exclusive lock anywhere on the hit path. Concurrent
 /// misses for DIFFERENT columns compute in parallel (each caller claims the
-/// columns it will compute); duplicate misses for the SAME (LF, set) key
-/// collapse onto one computation — losers wait on the winner's result
-/// instead of recomputing. Eviction can race in-flight readers safely:
-/// entries are shared_ptr-held and an Apply pins its set for its duration,
-/// so the byte budget is soft by at most the pinned sets' size.
+/// columns it will compute); duplicate misses for the SAME (LF, set) key of
+/// an admitted set collapse onto one computation — losers wait on the
+/// winner's result instead of recomputing. Eviction can race in-flight
+/// readers safely: entries are shared_ptr-held and an Apply pins its set for
+/// its duration, so the byte budget is soft by at most the pinned sets' size.
 class IncrementalApplier {
  public:
+  static constexpr size_t kDefaultMaxCachedBytes = size_t{64} << 20;
+
   struct Options {
     /// Worker threads for miss computation; 0 = the process-wide shared
     /// pool, 1 = serial, n > 1 = a dedicated pool owned by this applier.
@@ -97,8 +112,9 @@ class IncrementalApplier {
     /// Byte budget over all cached label columns, across candidate sets.
     /// Least-recently-used sets are evicted beyond it; sets pinned by
     /// in-flight Apply calls are never evicted, so the budget is soft by
-    /// the pinned working set.
-    size_t max_cached_bytes = 64ull << 20;
+    /// the pinned working set. 0 turns the cache off: no set is ever
+    /// admitted and requests are not fingerprinted.
+    size_t max_cached_bytes = kDefaultMaxCachedBytes;
     /// Compute cache-miss columns of compilable LFs through the batch
     /// engine (lf/compiled/) instead of interpreting per row. Bitwise
     /// identical output, so cached columns stay interchangeable between the
@@ -114,9 +130,13 @@ class IncrementalApplier {
     /// extended from a cached prefix counts as computed (its tail ran).
     uint64_t columns_reused = 0;
     uint64_t columns_computed = 0;
-    /// Apply calls whose candidate set was already cached vs not.
+    /// Apply calls whose candidate set was already cached vs admitted on
+    /// this call (a new cache entry).
     uint64_t set_hits = 0;
     uint64_t set_misses = 0;
+    /// Apply calls served without admitting their set (first sightings, and
+    /// every call under a budget of 0); their columns count as computed.
+    uint64_t unadmitted_sets = 0;
     /// Label bytes currently resident across all cached sets.
     uint64_t bytes_cached = 0;
     /// Rows computed as appended tails of a cached prefix (summed per
@@ -136,7 +156,8 @@ class IncrementalApplier {
   ~IncrementalApplier();
 
   /// Produces Λ for (lfs, candidates), reusing cached columns when both the
-  /// LF fingerprint and the candidate-set fingerprint match. Same semantics
+  /// LF fingerprint and the candidate-set fingerprint match, and caching the
+  /// computed ones when the set is admitted (see above). Same semantics
   /// as LFApplier::Apply: an out-of-range vote surfaces as InvalidArgument
   /// and the offending column is never cached. Safe to call from any number
   /// of threads concurrently.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "lf/applier.h"
 #include "obs/trace.h"
 #include "util/timer.h"
 
@@ -32,25 +31,20 @@ LabelService::LabelService(
     GenerativeModel model, DawidSkeneModel ds_model, int cardinality,
     LabelingFunctionSet lfs, Options options,
     std::shared_ptr<const CompiledLfProgram> compiled_program)
-    : options_(options),
-      cardinality_(cardinality),
+    : cardinality_(cardinality),
       model_(std::move(model)),
       ds_model_(std::move(ds_model)),
       lfs_(std::move(lfs)),
-      // Exactly one of the two appliers serves this service's requests;
-      // pin the unused one serial so an explicit num_threads never spawns
-      // a second, idle dedicated pool. Both appliers share the snapshot's
+      // The one applier serves every request; cache off is a byte budget
+      // of 0 (never admit, never fingerprint). It shares the snapshot's
       // pre-built LFCP program (null = compile live on first use).
       applier_(IncrementalApplier::Options{
-          .num_threads =
-              options.use_incremental_cache ? options.num_threads : 1,
+          .num_threads = options.num_threads,
           .cardinality = cardinality,
-          .use_compiled = options.use_compiled_lfs,
-          .compiled_program = compiled_program}),
-      stateless_applier_(LFApplier::Options{
-          .num_threads =
-              options.use_incremental_cache ? 1 : options.num_threads,
-          .cardinality = cardinality,
+          .max_cached_bytes =
+              options.use_incremental_cache
+                  ? IncrementalApplier::kDefaultMaxCachedBytes
+                  : 0,
           .use_compiled = options.use_compiled_lfs,
           .compiled_program = std::move(compiled_program)}),
       anchors_(std::make_shared<TimeAnchors>()) {
@@ -154,10 +148,10 @@ Result<LabelResponse> LabelService::Label(const LabelRequest& request) {
   const uint64_t request_start_ns = obs::NowNanos();
   WallTimer timer;
 
-  // LF application: both the cached and the stateless path run without any
-  // service-level lock. The concurrent column cache lets callers overlap —
-  // hits read under shared locks, misses for different LFs compute in
-  // parallel, and duplicate misses collapse onto one computation. Ref
+  // LF application runs without any service-level lock. The concurrent
+  // column cache lets callers overlap — hits read under shared locks,
+  // misses for different LFs compute in parallel, duplicate misses collapse
+  // onto one computation, and sets seen once are not cached at all. Ref
   // requests (the sharded tier's zero-copy fan-out) cache by content +
   // reported index, so repeat sub-batches hit like owned batches do.
   Result<LabelMatrix> matrix(Status::Internal("unset"));
@@ -167,35 +161,21 @@ Result<LabelResponse> LabelService::Label(const LabelRequest& request) {
     // relaxed atomics, so under concurrent callers the delta attributes
     // overlapping work approximately, which is fine for a trace.
     IncrementalApplier::Stats before;
-    if (span.active() && options_.use_incremental_cache) {
-      before = applier_.stats();
-    }
-    if (options_.use_incremental_cache) {
-      matrix = by_refs ? applier_.ApplyRefs(lfs_, *request.corpus,
-                                            *request.candidate_refs,
-                                            request.cancel)
-                       : applier_.Apply(lfs_, *request.corpus,
-                                        *request.candidates, request.cancel);
-    } else {
-      matrix = by_refs ? stateless_applier_.ApplyRefs(lfs_, *request.corpus,
-                                                      *request.candidate_refs,
-                                                      request.cancel)
-                       : stateless_applier_.Apply(lfs_, *request.corpus,
-                                                  *request.candidates,
-                                                  request.cancel);
-    }
+    if (span.active()) before = applier_.stats();
+    matrix = by_refs ? applier_.ApplyRefs(lfs_, *request.corpus,
+                                          *request.candidate_refs,
+                                          request.cancel)
+                     : applier_.Apply(lfs_, *request.corpus,
+                                      *request.candidates, request.cancel);
     if (span.active()) {
-      span.Annotate("rows=" + std::to_string(num_candidates));
-      if (options_.use_incremental_cache) {
-        IncrementalApplier::Stats after = applier_.stats();
-        span.Annotate(
-            "cols_reused=" +
-            std::to_string(after.columns_reused - before.columns_reused) +
-            " cols_computed=" +
-            std::to_string(after.columns_computed - before.columns_computed));
-      } else {
-        span.Annotate("cache=off");
-      }
+      IncrementalApplier::Stats after = applier_.stats();
+      span.Annotate(
+          "rows=" + std::to_string(num_candidates) + " cols_reused=" +
+          std::to_string(after.columns_reused - before.columns_reused) +
+          " cols_computed=" +
+          std::to_string(after.columns_computed - before.columns_computed) +
+          (after.unadmitted_sets != before.unadmitted_sets ? " unadmitted"
+                                                           : ""));
     }
   }
   if (!matrix.ok()) return matrix.status();

@@ -145,12 +145,15 @@ struct ServiceStats {
   /// The wall-clock span the throughput is measured over, seconds.
   double busy_span_s = 0.0;
   /// Column-cache effectiveness, forwarded from the incremental applier
-  /// (see IncrementalApplier::Stats for the exact semantics).
+  /// (see IncrementalApplier::Stats for the exact semantics). Computed
+  /// columns include those of sets served without admission; the count of
+  /// such sets is the registry counter snorkel_cache_unadmitted_sets_total.
   uint64_t lf_columns_reused = 0;
   uint64_t lf_columns_computed = 0;
   /// Candidate-set-level cache behaviour: requests whose set was already
-  /// cached vs not, resident cached label bytes, and rows computed as
-  /// appended tails of a cached prefix (the append-only stream path).
+  /// cached vs admitted on that request, resident cached label bytes, and
+  /// rows computed as appended tails of a cached prefix (the append-only
+  /// stream path).
   uint64_t cache_set_hits = 0;
   uint64_t cache_set_misses = 0;
   uint64_t cache_bytes = 0;
@@ -178,13 +181,22 @@ struct ServiceStats {
 /// kernel. LF votes are validated against the snapshot's cardinality on
 /// every path.
 ///
+/// Every request goes through one IncrementalApplier. Its column cache
+/// admits a candidate set on the set's second sighting (see
+/// IncrementalApplier): a batch seen once — most fresh serving traffic — is
+/// labeled from request-local columns and never cached, repeat and
+/// alternating batches hit from their third sighting, and an append-only
+/// stream computes only its tail from its third request. In a §4.1 edit
+/// session the first edit recomputes every column once; each later edit
+/// recomputes one.
+///
 /// Thread-safe, with narrow critical sections: the posterior computation is
-/// read-only on the restored model and runs lock-free, and the incremental
-/// applier's column cache is itself concurrent (shared-lock hits, per-column
-/// miss collapse) — so concurrent Label() callers overlap their compute on
-/// BOTH the cached and the stateless path. The serving counters are
-/// lock-free too (atomic counters + an atomic-bucket latency histogram),
-/// so no request ever serializes on stats.
+/// read-only on the restored model and runs lock-free, and the applier's
+/// column cache is itself concurrent (shared-lock hits, per-column miss
+/// collapse, no cache lock at all for sets it does not admit) — so
+/// concurrent Label() callers overlap their compute. The serving counters
+/// are lock-free too (atomic counters + an atomic-bucket latency
+/// histogram), so no request ever serializes on stats.
 class LabelService {
  public:
   struct Options {
@@ -193,7 +205,8 @@ class LabelService {
     /// repeat/alternating serving batches, and append-only candidate
     /// streams); identical posteriors either way. The cache is concurrent:
     /// hits take no exclusive lock and misses for the same column collapse
-    /// onto one computation across callers.
+    /// onto one computation across callers. false = the applier's byte
+    /// budget is 0: it never admits a set and skips fingerprinting.
     bool use_incremental_cache = true;
     /// Forwarded to GenerativeModel at restore time (binary snapshots).
     GenerativeModelOptions gen;
@@ -258,7 +271,6 @@ class LabelService {
                int cardinality, LabelingFunctionSet lfs, Options options,
                std::shared_ptr<const CompiledLfProgram> compiled_program);
 
-  Options options_;
   /// 2 serves model_ (scalar posterior); >2 serves ds_model_ (K columns).
   int cardinality_ = 2;
   /// Immutable after Create: the serving artifact's identity.
@@ -267,12 +279,10 @@ class LabelService {
   GenerativeModel model_;
   DawidSkeneModel ds_model_;
   LabelingFunctionSet lfs_;
-  /// Concurrent multi-set column cache (when enabled); no service-level
-  /// lock guards it — concurrent callers hit, miss, and wait inside it.
+  /// The one applier: a concurrent multi-set column cache (budget 0 when
+  /// the cache is off); no service-level lock guards it — concurrent
+  /// callers hit, miss, and wait inside it.
   IncrementalApplier applier_;
-  /// Stateless fallback (cache disabled); persistent so an explicit
-  /// num_threads pool is created once, not per request.
-  LFApplier stateless_applier_;
 
   /// Monotonic anchors for wall-clock throughput: start of the first
   /// request ever (CAS-min; ~0 = never served) and completion of the most

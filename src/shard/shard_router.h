@@ -46,7 +46,10 @@ struct RouterStats {
   /// Quantiles over this merged snapshot are the tier's true quantiles.
   obs::HistogramSnapshot latency;
   /// Column-cache effectiveness summed over every replica (each replica's
-  /// ServiceStats cache fields; see IncrementalApplier::Stats).
+  /// ServiceStats cache fields; see IncrementalApplier::Stats). A replica
+  /// admits a sub-batch's set to its cache on the set's second sighting, so
+  /// fresh traffic leaves cache_set_misses and cache_bytes at 0 while
+  /// lf_columns_computed still counts every column it labeled.
   uint64_t lf_columns_reused = 0;
   uint64_t lf_columns_computed = 0;
   uint64_t cache_set_hits = 0;

@@ -12,7 +12,8 @@ namespace fault {
 
 /// Deterministic fault-injection fabric: a process-wide registry of named
 /// injection sites threaded through the I/O and admission paths
-/// ("net.send", "net.recv", "queue.admit", "store.load", "server.label").
+/// ("net.send", "net.recv", "queue.admit", "store.load", "server.label",
+/// "client.encode").
 /// A site does NOTHING until armed with a seeded Schedule; the disarmed
 /// check is one relaxed atomic load, so production paths pay a branch, not
 /// a lock. Armed schedules are pure functions of (schedule, hit index,

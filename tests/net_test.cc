@@ -1570,6 +1570,49 @@ struct FaultGuard {
   ~FaultGuard() { fault::DisarmAll(); }
 };
 
+TEST(RemoteClientTest, BudgetSpentBeforeSendingLeavesTheLimiterAlone) {
+  // A request whose budget runs out on the client, before it is sent, never
+  // reached the shard, so it says nothing about the shard's load: the AIMD
+  // limit must not shrink. The "client.encode" site stalls every encode for
+  // 20 ms against a 5 ms budget, so each call takes that exit.
+  FaultGuard guard;
+  NetFixture fx(8);
+  ModelSnapshot snapshot = fx.MakeSnapshot(fx.MakeLfs());
+  std::string path = TempPath("unsent_limit.snk");
+  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
+  auto server = ShardServer::Serve(path, fx.MakeLfs(), {});
+  ASSERT_TRUE(server.ok());
+  const uint16_t dead_port = server->port();
+  server->Shutdown();
+
+  RemoteShardClient::Options options;
+  options.port = dead_port;
+  options.connect_timeout_ms = 200;
+  RemoteShardClient client = RemoteShardClient::Create(options);
+  const double initial_limit = client.stats().adaptive_limit;
+  ASSERT_EQ(initial_limit, options.adaptive_initial_limit);
+
+  fault::Schedule slow_encode;
+  slow_encode.kind = fault::Schedule::Kind::kDelayNth;
+  slow_encode.n = 1;
+  slow_encode.delay_ms = 20;
+  ASSERT_TRUE(fault::Arm("client.encode", slow_encode).ok());
+  std::vector<CandidateRef> rows = MakeCandidateRefs(fx.candidates);
+  for (int call = 0; call < 5; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    bool failed_fast = true;
+    auto spent = client.Label(fx.corpus, rows, false, true,
+                              /*deadline_ms=*/5, &failed_fast);
+    ASSERT_FALSE(spent.ok());
+    EXPECT_EQ(spent.status().code(), StatusCode::kDeadlineExceeded)
+        << spent.status().ToString();
+    EXPECT_FALSE(failed_fast);
+    EXPECT_EQ(client.stats().adaptive_limit, initial_limit);
+  }
+  EXPECT_EQ(fault::SiteInjected("client.encode"), 5u);
+  std::remove(path.c_str());
+}
+
 TEST(SocketTest, ArmedFaultSitesInjectTypedTransportErrors) {
   FaultGuard guard;
   auto listener = ListenSocket::Listen(0);

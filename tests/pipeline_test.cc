@@ -33,7 +33,8 @@ TEST(PipelineTest, CdrEndToEndReproducesTable3Shape) {
   EXPECT_GT(report->disc_test.F1(), report->ds_test.F1());
   // 4. Snorkel approaches hand supervision. The gap is wider here than the
   //    paper's ~2 F1 because the synthetic hand baseline trains on a large
-  //    near-deterministic gold set; see EXPERIMENTS.md.
+  //    near-deterministic gold set; ROADMAP.md item 1 tracks the end-model
+  //    gaps to the paper.
   EXPECT_GT(report->disc_test.F1(), report->hand_test.F1() - 0.25);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -283,13 +284,15 @@ TEST(IncrementalApplierTest, EditingOneLfRecomputesOneColumn) {
   ServeFixture fx;
   LabelingFunctionSet lfs = fx.MakeLfs();
   IncrementalApplier applier;
+  // Warm-up sighting: computed, remembered, not cached.
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, fx.candidates).ok());
-  EXPECT_EQ(applier.stats().columns_computed, 3u);
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, fx.candidates).ok());
+  EXPECT_EQ(applier.stats().columns_computed, 6u);  // 3 + 3 on admission.
   EXPECT_EQ(applier.stats().columns_reused, 0u);
 
   // Unchanged LF set: all columns reused.
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, fx.candidates).ok());
-  EXPECT_EQ(applier.stats().columns_computed, 3u);
+  EXPECT_EQ(applier.stats().columns_computed, 6u);
   EXPECT_EQ(applier.stats().columns_reused, 3u);
 
   // The §4.1 iterate loop: edit ONE LF (same name, new version ⇒ new
@@ -306,7 +309,7 @@ TEST(IncrementalApplierTest, EditingOneLfRecomputesOneColumn) {
   edited.Add(MakeDistanceLF("lf_far", 4, -1));
   auto matrix = applier.Apply(edited, fx.corpus, fx.candidates);
   ASSERT_TRUE(matrix.ok());
-  EXPECT_EQ(applier.stats().columns_computed, 4u);  // +1, not +3.
+  EXPECT_EQ(applier.stats().columns_computed, 7u);  // +1, not +3.
   EXPECT_EQ(applier.stats().columns_reused, 5u);    // +2 untouched columns.
   EXPECT_EQ(matrix->At(1, 1), -1);                  // New column is live.
 }
@@ -325,6 +328,9 @@ TEST(IncrementalApplierTest, AlternatingSetsBothStayCached) {
   ASSERT_TRUE(expected_a.ok() && expected_b.ok());
 
   IncrementalApplier applier;
+  // Warm-up sightings: computed, remembered, not cached.
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, a).ok());
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, b).ok());
   for (int cycle = 0; cycle < 3; ++cycle) {
     for (const auto* batch : {&a, &b}) {
       auto matrix = applier.Apply(lfs, fx.corpus, *batch);
@@ -338,7 +344,8 @@ TEST(IncrementalApplierTest, AlternatingSetsBothStayCached) {
       }
     }
   }
-  EXPECT_EQ(applier.stats().columns_computed, 6u);   // 3 per set, once.
+  // 3 per set in the warm-up, then 3 per set once, on admission.
+  EXPECT_EQ(applier.stats().columns_computed, 12u);
   EXPECT_EQ(applier.stats().columns_reused, 12u);    // 2 cycles × 2 sets × 3.
   EXPECT_EQ(applier.stats().set_misses, 2u);
   EXPECT_EQ(applier.stats().set_hits, 4u);
@@ -356,6 +363,8 @@ TEST(IncrementalApplierTest, AppendOnlyStreamComputesOnlyTailRows) {
                                 fx.candidates.begin() + 80);
 
   IncrementalApplier applier;
+  // Warm-up sighting: computed, remembered, not cached.
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, prefix).ok());
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, prefix).ok());
   EXPECT_EQ(applier.stats().appended_rows, 0u);
 
@@ -363,7 +372,7 @@ TEST(IncrementalApplierTest, AppendOnlyStreamComputesOnlyTailRows) {
   ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
   // The extended set's columns count as computed, but only the 40-row tails
   // actually ran the LFs.
-  EXPECT_EQ(applier.stats().columns_computed, 6u);
+  EXPECT_EQ(applier.stats().columns_computed, 9u);
   EXPECT_EQ(applier.stats().appended_rows, 3u * 40u);
   EXPECT_EQ(applier.stats().set_misses, 2u);
 
@@ -393,6 +402,10 @@ TEST(IncrementalApplierTest, ByteBudgetEvictsLeastRecentlyUsedSet) {
   // pinned during Apply), the other is evicted.
   IncrementalApplier applier(IncrementalApplier::Options{
       .num_threads = 1, .cardinality = 2, .max_cached_bytes = set_bytes});
+  // Warm-up sightings: computed, remembered, not cached.
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, a).ok());
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, b).ok());
+  EXPECT_EQ(applier.stats().bytes_cached, 0u);
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, a).ok());
   EXPECT_EQ(applier.stats().bytes_cached, set_bytes);
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, b).ok());
@@ -402,7 +415,7 @@ TEST(IncrementalApplierTest, ByteBudgetEvictsLeastRecentlyUsedSet) {
 
   // A comes back as a fresh miss (and evicts B in turn).
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, a).ok());
-  EXPECT_EQ(applier.stats().columns_computed, 9u);
+  EXPECT_EQ(applier.stats().columns_computed, 15u);
   EXPECT_EQ(applier.stats().evicted_sets, 2u);
 }
 
@@ -413,14 +426,16 @@ TEST(IncrementalApplierTest, OwnedAndRefRequestsShareCachedColumns) {
   ServeFixture fx;
   LabelingFunctionSet lfs = fx.MakeLfs();
   IncrementalApplier applier;
+  // Warm-up sighting: computed, remembered, not cached.
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, fx.candidates).ok());
   auto owned = applier.Apply(lfs, fx.corpus, fx.candidates);
   ASSERT_TRUE(owned.ok());
-  EXPECT_EQ(applier.stats().columns_computed, 3u);
+  EXPECT_EQ(applier.stats().columns_computed, 6u);
 
   std::vector<CandidateRef> refs = MakeCandidateRefs(fx.candidates);
   auto by_ref = applier.ApplyRefs(lfs, fx.corpus, refs);
   ASSERT_TRUE(by_ref.ok()) << by_ref.status().ToString();
-  EXPECT_EQ(applier.stats().columns_computed, 3u);  // All reused.
+  EXPECT_EQ(applier.stats().columns_computed, 6u);  // All reused.
   EXPECT_EQ(applier.stats().set_hits, 1u);
   for (size_t i = 0; i < owned->num_rows(); ++i) {
     for (size_t j = 0; j < owned->num_lfs(); ++j) {
@@ -433,8 +448,9 @@ TEST(IncrementalApplierTest, OwnedAndRefRequestsShareCachedColumns) {
   std::vector<CandidateRef> shifted = refs;
   for (auto& row : shifted) row.index += 1000;
   ASSERT_TRUE(applier.ApplyRefs(lfs, fx.corpus, shifted).ok());
+  ASSERT_TRUE(applier.ApplyRefs(lfs, fx.corpus, shifted).ok());
   EXPECT_EQ(applier.stats().set_misses, 2u);
-  EXPECT_EQ(applier.stats().columns_computed, 6u);
+  EXPECT_EQ(applier.stats().columns_computed, 12u);
 }
 
 TEST(IncrementalApplierTest, BuggyLfSurfacesErrorWithoutPoisoningCache) {
@@ -482,6 +498,9 @@ TEST(IncrementalApplierTest, SameShapedSetsFromDifferentCorporaDoNotCollide) {
 
   LabelingFunctionSet lfs = fx.MakeLfs();
   IncrementalApplier applier;
+  // Warm-up sightings: computed, remembered, not cached.
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, fx.candidates).ok());
+  ASSERT_TRUE(applier.Apply(lfs, flipped, fx.candidates).ok());
   auto original = applier.Apply(lfs, fx.corpus, fx.candidates);
   auto swapped = applier.Apply(lfs, flipped, fx.candidates);
   ASSERT_TRUE(original.ok() && swapped.ok());
@@ -564,6 +583,9 @@ TEST(IncrementalApplierTest, InvalidateDropsOneColumnEverywhere) {
   std::vector<Candidate> a(fx.candidates.begin(), fx.candidates.begin() + 50);
   std::vector<Candidate> b(fx.candidates.begin() + 50, fx.candidates.end());
   IncrementalApplier applier;
+  // Warm-up sightings: computed, remembered, not cached.
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, a).ok());
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, b).ok());
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, a).ok());
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, b).ok());
   ASSERT_EQ(applier.cached_columns(), 6u);
@@ -577,7 +599,7 @@ TEST(IncrementalApplierTest, InvalidateDropsOneColumnEverywhere) {
   // Re-serving recomputes exactly the invalidated column per set.
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, a).ok());
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, b).ok());
-  EXPECT_EQ(applier.stats().columns_computed, 8u);
+  EXPECT_EQ(applier.stats().columns_computed, 14u);
   EXPECT_EQ(applier.cached_columns(), 6u);
 
   applier.InvalidateAll();
@@ -602,7 +624,7 @@ TEST(IncrementalApplierTest, SerialAndParallelAgree) {
   }
 }
 
-// ------------------------------------ concurrent column cache (TSan'd) --
+// ------------------------------- admission on a set's second sighting --
 
 /// Cell-for-cell equality against a reference matrix (bitwise: labels are
 /// integers, so equality IS bit equality).
@@ -619,6 +641,180 @@ bool MatrixEquals(const LabelMatrix& actual, const LabelMatrix& expected) {
   return true;
 }
 
+/// `lfs` with LF `target` re-versioned: same behaviour, new fingerprint (the
+/// §4.1 "edit one LF" step).
+LabelingFunctionSet Reversion(const LabelingFunctionSet& lfs, size_t target,
+                              const std::string& version) {
+  LabelingFunctionSet out;
+  for (size_t j = 0; j < lfs.size(); ++j) {
+    const LabelingFunction& lf = lfs.at(j);
+    if (j != target) {
+      out.Add(lf);
+      continue;
+    }
+    LabelingFunction edited(lf.name(), version,
+                            [lf](const CandidateView& view) {
+                              return lf.Apply(view);
+                            });
+    edited.AttachCompileSpec(lf.compile_spec());
+    out.Add(std::move(edited));
+  }
+  return out;
+}
+
+double RegistryCounter(const char* name) {
+  for (const auto& sample : obs::MetricsRegistry::Default().Collect()) {
+    if (sample.name == name) return sample.value;
+  }
+  return 0.0;
+}
+
+TEST(IncrementalApplierTest, FreshStreamCachesNothingAndMatchesLFApplier) {
+  // Fresh serving traffic: 200 distinct ref batches of varying size whose
+  // reported indices advance like a growing log. No set is seen twice, so
+  // none is admitted: nothing is cached, and every answer is computed from
+  // request-local columns, bitwise equal to the stateless applier's.
+  ServeFixture fx(120);
+  LabelingFunctionSet lfs = fx.MakeLfs();
+  const double unadmitted_before =
+      RegistryCounter("snorkel_cache_unadmitted_sets_total");
+  IncrementalApplier applier(
+      IncrementalApplier::Options{.num_threads = 1, .cardinality = 2});
+  const LFApplier plain(LFApplier::Options{.num_threads = 1});
+  for (size_t k = 0; k < 200; ++k) {
+    const size_t first = k % 100;
+    const size_t size = 8 + k % 13;
+    std::vector<CandidateRef> rows;
+    for (size_t i = 0; i < size; ++i) {
+      rows.push_back(CandidateRef{&fx.candidates[first + i], k * 1000 + i});
+    }
+    auto actual = applier.ApplyRefs(lfs, fx.corpus, rows);
+    auto expected = plain.ApplyRefs(lfs, fx.corpus, rows);
+    ASSERT_TRUE(actual.ok() && expected.ok()) << actual.status().ToString();
+    EXPECT_TRUE(MatrixEquals(*actual, *expected));
+  }
+  const IncrementalApplier::Stats stats = applier.stats();
+  EXPECT_EQ(applier.cached_sets(), 0u);
+  EXPECT_EQ(stats.bytes_cached, 0u);
+  EXPECT_EQ(stats.unadmitted_sets, 200u);
+  EXPECT_EQ(stats.set_misses, 0u);
+  EXPECT_EQ(stats.set_hits, 0u);
+  EXPECT_EQ(stats.columns_computed, 200u * 3u);
+  EXPECT_EQ(stats.columns_reused, 0u);
+  EXPECT_EQ(RegistryCounter("snorkel_cache_unadmitted_sets_total") -
+                unadmitted_before,
+            200.0);
+}
+
+TEST(IncrementalApplierTest, AlternatingSetsHitFromTheirThirdSighting) {
+  // A/B/A/B: each set's first sighting is remembered, its second is
+  // admitted (computed and cached), and from its third on every request
+  // hits — requests 5, 6, 7, ... of the alternation.
+  ServeFixture fx;
+  LabelingFunctionSet lfs = fx.MakeLfs();
+  std::vector<Candidate> a(fx.candidates.begin(), fx.candidates.begin() + 50);
+  std::vector<Candidate> b(fx.candidates.begin() + 50, fx.candidates.end());
+  auto expected_a = LFApplier().Apply(lfs, fx.corpus, a);
+  auto expected_b = LFApplier().Apply(lfs, fx.corpus, b);
+  ASSERT_TRUE(expected_a.ok() && expected_b.ok());
+
+  IncrementalApplier applier;
+  for (uint64_t r = 0; r < 10; ++r) {
+    SCOPED_TRACE("request " + std::to_string(r + 1));
+    const bool is_a = r % 2 == 0;
+    auto matrix = applier.Apply(lfs, fx.corpus, is_a ? a : b);
+    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+    EXPECT_TRUE(MatrixEquals(*matrix, is_a ? *expected_a : *expected_b));
+    const IncrementalApplier::Stats stats = applier.stats();
+    EXPECT_EQ(stats.unadmitted_sets, std::min<uint64_t>(r + 1, 2));
+    EXPECT_EQ(stats.set_misses, r < 2 ? 0 : std::min<uint64_t>(r - 1, 2));
+    EXPECT_EQ(stats.set_hits, r < 4 ? 0 : r - 3);
+    EXPECT_EQ(stats.columns_computed, std::min<uint64_t>(r + 1, 4) * 3);
+  }
+  EXPECT_EQ(applier.cached_sets(), 2u);
+  EXPECT_EQ(applier.stats().columns_reused, 6u * 3u);
+}
+
+TEST(IncrementalApplierTest, AppendOnlyStreamExtendsTailsFromTheThirdRequest) {
+  // A growing log: request s serves the first 40·s rows. Request 1 is
+  // remembered; request 2 extends a remembered set, so it is admitted and
+  // computes every row; from request 3 on each request extends the cached
+  // previous one and computes only its 40-row tail.
+  ServeFixture fx(160);
+  LabelingFunctionSet lfs = fx.MakeLfs();
+  IncrementalApplier applier;
+  for (size_t step = 1; step <= 4; ++step) {
+    SCOPED_TRACE("request " + std::to_string(step));
+    std::vector<Candidate> prefix(fx.candidates.begin(),
+                                  fx.candidates.begin() + 40 * step);
+    auto matrix = applier.Apply(lfs, fx.corpus, prefix);
+    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+    auto expected = LFApplier().Apply(lfs, fx.corpus, prefix);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_TRUE(MatrixEquals(*matrix, *expected));
+    const IncrementalApplier::Stats stats = applier.stats();
+    EXPECT_EQ(stats.unadmitted_sets, 1u);
+    EXPECT_EQ(stats.set_misses, step - 1);
+    EXPECT_EQ(stats.appended_rows, step < 3 ? 0 : (step - 2) * 3 * 40);
+    EXPECT_EQ(stats.columns_computed, step * 3);
+  }
+}
+
+TEST(IncrementalApplierTest, EditLoopRecomputesOneColumnFromTheSecondEdit) {
+  // §4.1: the initial apply is the training set's first sighting, so the
+  // first edit admits it and computes every column once; each later edit
+  // recomputes only the edited LF's column.
+  ServeFixture fx;
+  LabelingFunctionSet lfs = fx.MakeLfs();
+  IncrementalApplier applier;
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, fx.candidates).ok());
+  for (size_t edit = 1; edit <= 6; ++edit) {
+    SCOPED_TRACE("edit " + std::to_string(edit));
+    lfs = Reversion(lfs, edit % lfs.size(), "edit_" + std::to_string(edit));
+    const IncrementalApplier::Stats before = applier.stats();
+    auto matrix = applier.Apply(lfs, fx.corpus, fx.candidates);
+    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+    auto expected = LFApplier().Apply(lfs, fx.corpus, fx.candidates);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_TRUE(MatrixEquals(*matrix, *expected));
+    const IncrementalApplier::Stats after = applier.stats();
+    EXPECT_EQ(after.columns_computed - before.columns_computed,
+              edit == 1 ? 3u : 1u);
+    EXPECT_EQ(after.columns_reused - before.columns_reused,
+              edit == 1 ? 0u : 2u);
+  }
+}
+
+TEST(IncrementalApplierTest, ZeroBudgetNeverAdmits) {
+  // A byte budget of 0 is the cache turned off: repeats, and sets that
+  // extend earlier ones, are all served unadmitted.
+  ServeFixture fx;
+  LabelingFunctionSet lfs = fx.MakeLfs();
+  std::vector<Candidate> half(fx.candidates.begin(),
+                              fx.candidates.begin() + 50);
+  auto expected = LFApplier().Apply(lfs, fx.corpus, fx.candidates);
+  ASSERT_TRUE(expected.ok());
+  IncrementalApplier applier(IncrementalApplier::Options{
+      .num_threads = 1, .cardinality = 2, .max_cached_bytes = 0});
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, half).ok());
+  for (int r = 0; r < 3; ++r) {
+    auto matrix = applier.Apply(lfs, fx.corpus, fx.candidates);
+    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+    EXPECT_TRUE(MatrixEquals(*matrix, *expected));
+  }
+  const IncrementalApplier::Stats stats = applier.stats();
+  EXPECT_EQ(applier.cached_sets(), 0u);
+  EXPECT_EQ(stats.bytes_cached, 0u);
+  EXPECT_EQ(stats.unadmitted_sets, 4u);
+  EXPECT_EQ(stats.set_misses, 0u);
+  EXPECT_EQ(stats.set_hits, 0u);
+  EXPECT_EQ(stats.appended_rows, 0u);
+  EXPECT_EQ(stats.columns_computed, 4u * 3u);
+  EXPECT_EQ(stats.columns_reused, 0u);
+}
+
+// ------------------------------------ concurrent column cache (TSan'd) --
+
 TEST(ConcurrentCacheTest, HitStormSharesColumnsWithoutRecomputation) {
   ServeFixture fx(200);
   LabelingFunctionSet lfs = fx.MakeLfs();
@@ -627,6 +823,8 @@ TEST(ConcurrentCacheTest, HitStormSharesColumnsWithoutRecomputation) {
 
   IncrementalApplier applier(
       IncrementalApplier::Options{.num_threads = 1, .cardinality = 2});
+  // Warm-up sighting (computed, not cached), then the admitting warm call.
+  ASSERT_TRUE(applier.Apply(lfs, fx.corpus, fx.candidates).ok());
   ASSERT_TRUE(applier.Apply(lfs, fx.corpus, fx.candidates).ok());  // Warm.
 
   constexpr int kThreads = 8;
@@ -646,8 +844,8 @@ TEST(ConcurrentCacheTest, HitStormSharesColumnsWithoutRecomputation) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   // Every concurrent call was answered from cache: the columns were
-  // computed exactly once, by the warming call.
-  EXPECT_EQ(applier.stats().columns_computed, 3u);
+  // computed exactly once each by the warm-up sighting and the warm call.
+  EXPECT_EQ(applier.stats().columns_computed, 6u);
   EXPECT_EQ(applier.stats().columns_reused,
             3u * static_cast<uint64_t>(kThreads) * kIterations);
 }
@@ -664,6 +862,9 @@ TEST(ConcurrentCacheTest, DuplicateMissesCollapseToOneComputation) {
   for (int round = 0; round < 5; ++round) {
     IncrementalApplier applier(
         IncrementalApplier::Options{.num_threads = 1, .cardinality = 2});
+    // Warm-up sighting: computed, remembered, not cached — so every thread
+    // below finds the set admissible.
+    ASSERT_TRUE(applier.Apply(lfs, fx.corpus, fx.candidates).ok());
     constexpr int kThreads = 8;
     std::atomic<int> mismatches{0};
     std::vector<std::thread> threads;
@@ -677,7 +878,7 @@ TEST(ConcurrentCacheTest, DuplicateMissesCollapseToOneComputation) {
     }
     for (auto& th : threads) th.join();
     EXPECT_EQ(mismatches.load(), 0);
-    EXPECT_EQ(applier.stats().columns_computed, 3u)
+    EXPECT_EQ(applier.stats().columns_computed, 3u + 3u)
         << "a duplicate miss escaped the collapse in round " << round;
     EXPECT_EQ(applier.stats().set_misses, 1u);
   }
@@ -705,6 +906,10 @@ TEST(ConcurrentCacheTest, EvictionUnderBytePressureRacesReadersSafely) {
       .num_threads = 1,
       .cardinality = 2,
       .max_cached_bytes = 3 * 40 * sizeof(Label)});
+  // Warm-up sightings, so every set is admitted from its next request on.
+  for (const auto& set : sets) {
+    ASSERT_TRUE(applier.Apply(lfs, fx.corpus, set).ok());
+  }
   constexpr int kThreads = 4;
   constexpr int kIterations = 25;
   std::atomic<int> mismatches{0};
@@ -818,12 +1023,14 @@ TEST(LabelServiceTest, RepeatBatchesHitTheColumnCache) {
   LabelRequest request;
   request.corpus = &fx.corpus;
   request.candidates = &fx.candidates;
+  // Warm-up sighting: computed, remembered, not cached.
+  ASSERT_TRUE(service->Label(request).ok());
   for (int r = 0; r < 5; ++r) {
     ASSERT_TRUE(service->Label(request).ok());
   }
   ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.num_requests, 5u);
-  EXPECT_EQ(stats.num_candidates, 5 * fx.candidates.size());
+  EXPECT_EQ(stats.num_requests, 6u);
+  EXPECT_EQ(stats.num_candidates, 6 * fx.candidates.size());
   // Artifact identity rides along in the stats so operators can tell WHICH
   // snapshot answered: version 0 for a non-store snapshot, canonical
   // checksum always.
@@ -831,7 +1038,7 @@ TEST(LabelServiceTest, RepeatBatchesHitTheColumnCache) {
   EXPECT_EQ(stats.snapshot_checksum, snapshot.CanonicalChecksum());
   EXPECT_EQ(service->snapshot_version(), stats.snapshot_version);
   EXPECT_EQ(service->snapshot_checksum(), stats.snapshot_checksum);
-  EXPECT_EQ(stats.lf_columns_computed, 3u);
+  EXPECT_EQ(stats.lf_columns_computed, 6u);
   EXPECT_EQ(stats.lf_columns_reused, 12u);
   // Set-level cache counters surface through the service stats chain.
   EXPECT_EQ(stats.cache_set_misses, 1u);
@@ -846,7 +1053,7 @@ TEST(LabelServiceTest, RepeatBatchesHitTheColumnCache) {
   service->InvalidateCache();
   EXPECT_EQ(service->stats().cache_bytes, 0u);
   ASSERT_TRUE(service->Label(request).ok());
-  EXPECT_EQ(service->stats().lf_columns_computed, 6u);
+  EXPECT_EQ(service->stats().lf_columns_computed, 9u);
 }
 
 TEST(LabelServiceTest, RegistryExportsMatchServiceStatsExactly) {
@@ -916,6 +1123,8 @@ TEST(LabelServiceTest, RefRequestsMatchOwnedRequestsBitwise) {
   LabelRequest owned;
   owned.corpus = &fx.corpus;
   owned.candidates = &fx.candidates;
+  // Warm-up sighting: computed, remembered, not cached.
+  ASSERT_TRUE(service->Label(owned).ok());
   auto expected = service->Label(owned);
   ASSERT_TRUE(expected.ok());
 
@@ -929,7 +1138,7 @@ TEST(LabelServiceTest, RefRequestsMatchOwnedRequestsBitwise) {
   EXPECT_EQ(actual->posteriors, expected->posteriors);
   EXPECT_EQ(actual->hard_labels, expected->hard_labels);
   // The identity ref view shares the owned request's cached columns.
-  EXPECT_EQ(service->stats().lf_columns_computed, 3u);
+  EXPECT_EQ(service->stats().lf_columns_computed, 6u);
   EXPECT_EQ(service->stats().cache_set_hits, 1u);
 
   // Setting both forms (or neither) is a typed misuse.
@@ -963,6 +1172,8 @@ TEST(LabelServiceTest, ConcurrentCachedCallersServeIdenticalResponses) {
     LabelRequest request;
     request.corpus = &fx.corpus;
     request.candidates = batch;
+    // Warm-up sighting: computed, remembered, not cached.
+    ASSERT_TRUE(service->Label(request).ok());
     auto response = service->Label(request);
     ASSERT_TRUE(response.ok());
     expected.push_back(response->posteriors);
@@ -990,10 +1201,61 @@ TEST(LabelServiceTest, ConcurrentCachedCallersServeIdenticalResponses) {
   EXPECT_EQ(mismatches.load(), 0);
   // Both sets stayed cached throughout: nothing recomputed after warmup.
   ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.lf_columns_computed, 6u);
+  EXPECT_EQ(stats.lf_columns_computed, 12u);
   EXPECT_EQ(stats.cache_set_misses, 2u);
   EXPECT_EQ(stats.num_requests,
-            2u + static_cast<uint64_t>(kThreads) * kIterations);
+            4u + static_cast<uint64_t>(kThreads) * kIterations);
+}
+
+TEST(LabelServiceTest, CacheOffServiceIsBitwiseEqualToCachedOne) {
+  // use_incremental_cache = false is the same applier at a byte budget of 0:
+  // every response, votes included, is bitwise the cached service's, and the
+  // cache-off service never admits a set.
+  ServeFixture fx;
+  ModelSnapshot snapshot = MakeServableSnapshot(fx, fx.MakeLfs());
+  auto cached = LabelService::Create(snapshot, fx.MakeLfs());
+  LabelService::Options off_options;
+  off_options.use_incremental_cache = false;
+  auto off = LabelService::Create(snapshot, fx.MakeLfs(), off_options);
+  ASSERT_TRUE(cached.ok() && off.ok());
+
+  std::vector<Candidate> half(fx.candidates.begin(),
+                              fx.candidates.begin() + 50);
+  std::vector<CandidateRef> refs = MakeCandidateRefs(fx.candidates);
+  std::vector<LabelRequest> requests;
+  for (const auto* batch : {&fx.candidates, &half}) {
+    for (int r = 0; r < 3; ++r) {  // First sighting, admission, hit.
+      LabelRequest request;
+      request.corpus = &fx.corpus;
+      request.candidates = batch;
+      request.include_votes = true;
+      requests.push_back(request);
+    }
+  }
+  LabelRequest by_ref;
+  by_ref.corpus = &fx.corpus;
+  by_ref.candidate_refs = &refs;
+  by_ref.include_votes = true;
+  requests.push_back(by_ref);
+
+  for (size_t r = 0; r < requests.size(); ++r) {
+    SCOPED_TRACE("request " + std::to_string(r));
+    auto expected = cached->Label(requests[r]);
+    auto actual = off->Label(requests[r]);
+    ASSERT_TRUE(expected.ok() && actual.ok()) << actual.status().ToString();
+    EXPECT_EQ(actual->posteriors, expected->posteriors);
+    EXPECT_EQ(actual->hard_labels, expected->hard_labels);
+    EXPECT_TRUE(MatrixEquals(actual->votes, expected->votes));
+  }
+  const ServiceStats on = cached->stats();
+  EXPECT_EQ(on.cache_set_misses, 2u);
+  EXPECT_EQ(on.cache_set_hits, 3u);
+  const ServiceStats stats = off->stats();
+  EXPECT_EQ(stats.cache_set_misses, 0u);
+  EXPECT_EQ(stats.cache_set_hits, 0u);
+  EXPECT_EQ(stats.cache_bytes, 0u);
+  EXPECT_EQ(stats.lf_columns_reused, 0u);
+  EXPECT_EQ(stats.lf_columns_computed, requests.size() * 3);
 }
 
 TEST(LabelServiceTest, ThroughputIsWallClockNotSummedLatency) {
@@ -1693,13 +1955,15 @@ TEST(KClassServiceTest, ColumnCacheServesIdenticalKClassResponses) {
   LabelRequest request;
   request.corpus = &fx.task.corpus;
   request.candidates = &fx.task.candidates;
+  // Warm-up sighting: computed, remembered, not cached.
+  ASSERT_TRUE(service->Label(request).ok());
   auto first = service->Label(request);
   auto second = service->Label(request);
   ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_EQ(first->class_posteriors, second->class_posteriors);
   EXPECT_EQ(first->hard_labels, second->hard_labels);
   ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.lf_columns_computed, 6u);
+  EXPECT_EQ(stats.lf_columns_computed, 12u);
   EXPECT_EQ(stats.lf_columns_reused, 6u);
 }
 
