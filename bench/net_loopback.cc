@@ -51,6 +51,7 @@
 #include "serve/snapshot.h"
 #include "synth/relation_task.h"
 #include "util/table_printer.h"
+#include "util/fault.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
@@ -371,8 +372,12 @@ int main(int argc, char** argv) {
     options.interactive_rows = 16;  // The 64-row workload rides the bulk lane.
     options.sojourn_target_ms = 50;
     options.service.num_threads = 1;
-    options.inject_delay_every_n = 1;
-    options.inject_delay_ms = 2;
+    // Every label request sleeps 2 ms: a capacity-constrained replica.
+    fault::Schedule delay;
+    delay.kind = fault::Schedule::Kind::kDelayNth;
+    delay.n = 1;
+    delay.delay_ms = 2;
+    (void)fault::Arm("server.label", delay);
     auto server = ShardServer::Serve(path, task->lfs, options);
     if (!server.ok()) return 1;
     const std::vector<CandidateRef> interactive_rows(probe_rows.begin(),
@@ -455,6 +460,7 @@ int main(int argc, char** argv) {
     overload_cancelled = stats.expired_work_cancelled;
     overload_rejections = stats.queue_rejections;
     server->Shutdown();
+    fault::Disarm("server.label");
   }
   const double overload_ratio =
       overload_1x_cps > 0.0 ? overload_2x_cps / overload_1x_cps : 0.0;

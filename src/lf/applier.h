@@ -30,11 +30,49 @@ struct CandidateRef {
 std::vector<CandidateRef> MakeCandidateRefs(
     const std::vector<Candidate>& candidates);
 
+/// One request's rows in either form; row i is (candidate(i), index(i)).
+/// Rows taken from an owned vector report their position as the index; ref
+/// rows report refs[i].index. A view: the rows must outlive it.
+struct RowSource {
+  const Candidate* owned = nullptr;      // index(i) == i
+  const CandidateRef* refs = nullptr;    // index(i) == refs[i].index
+  size_t size = 0;
+
+  static RowSource Of(const std::vector<Candidate>& candidates) {
+    return RowSource{candidates.data(), nullptr, candidates.size()};
+  }
+  static RowSource Of(const std::vector<CandidateRef>& rows) {
+    return RowSource{nullptr, rows.data(), rows.size()};
+  }
+
+  const Candidate& candidate(size_t i) const {
+    return owned != nullptr ? owned[i] : *refs[i].candidate;
+  }
+  size_t index(size_t i) const {
+    return owned != nullptr ? i : refs[i].index;
+  }
+};
+
+/// One label column for ApplyColumns: LF position `lf_index` votes into
+/// labels[i] for rows [start_row, rows.size); rows below start_row are left
+/// as they are (serve/incremental_applier.h keeps a cached prefix there).
+struct ColumnTask {
+  size_t lf_index = 0;
+  Label* labels = nullptr;
+  size_t start_row = 0;
+};
+
 /// Applies a labeling-function set over a candidate set to produce the label
 /// matrix Λ. Candidates are independent, so application is embarrassingly
 /// parallel (paper Appendix C "Execution Model"); the applier shards the
 /// candidate range over a thread pool, the single-node analog of the paper's
 /// multiprocessing / Spark layers.
+///
+/// ApplyColumns is the one LF application loop, for training and serving
+/// alike: Apply/ApplyRefs run it with one column per LF position, and the
+/// serving column cache (serve/incremental_applier.h) runs it over just the
+/// columns and rows it could not reuse. Bitwise-identical output on every
+/// path, so cached columns and freshly applied ones are interchangeable.
 class LFApplier {
  public:
   struct Options {
@@ -87,6 +125,26 @@ class LFApplier {
                                 const Corpus& corpus,
                                 const std::vector<CandidateRef>& rows,
                                 const CancelToken* cancel = nullptr) const;
+
+  /// Same, over either row form.
+  Result<LabelMatrix> ApplyRows(const LabelingFunctionSet& lfs,
+                                const Corpus& corpus, RowSource rows,
+                                const CancelToken* cancel = nullptr) const;
+
+  /// The row loop: fills every task's column over its rows. Compiled
+  /// dispatch scans each distinct sentence of the rows any task needs once;
+  /// every row then answers its tasks from the hit stream or the
+  /// interpreter. Returns InvalidArgument naming the first LF that voted
+  /// out of range, or kDeadlineExceeded when `cancel` expired mid-loop; the
+  /// task columns are then partly filled and must be discarded.
+  Status ApplyColumns(const LabelingFunctionSet& lfs, const Corpus& corpus,
+                      RowSource rows, const std::vector<ColumnTask>& tasks,
+                      const CancelToken* cancel = nullptr) const;
+
+  /// Λ (`rows` rows, one LF per entry of `columns`) from one column of
+  /// `rows` labels per LF position.
+  Result<LabelMatrix> Assemble(size_t rows,
+                               const std::vector<const Label*>& columns) const;
 
  private:
   Options options_;

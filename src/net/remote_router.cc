@@ -12,7 +12,6 @@
 #include "shard/routing_core.h"
 #include "util/cancellation.h"
 #include "util/fault.h"
-#include "util/logging.h"
 
 namespace snorkel {
 
@@ -236,9 +235,7 @@ Result<LabelResponse> RemoteShardRouter::Label(const LabelRequest& request) {
   obs::TraceContext minted;
   if (obs::TracingEnabled()) minted.trace_id = obs::MintId();
   obs::ScopedTraceContext trace_scope(minted);
-  // unique_ptr, not a plain local: the slow-request log at the bottom needs
-  // the root CLOSED (recorded into the ring) before it collects the tree.
-  auto root_span = std::make_unique<obs::TraceSpan>("router.request");
+  obs::TraceSpan root_span("router.request");
 
   auto response = impl.core.Route(
       request, [&impl](const LabelRequest& r, std::vector<SubBatch>& batches) {
@@ -246,23 +243,8 @@ Result<LabelResponse> RemoteShardRouter::Label(const LabelRequest& request) {
       });
   if (!response.ok()) return response;
   impl.latency_hist->Observe(response->latency_ms);
-
-  // Slow-request log: close the root first so the collected tree includes
-  // it, then copy (not drain — tools/trace_dump still gets the spans) this
-  // trace's spans out of the ring.
-  root_span->Annotate("rows=" + std::to_string(response->hard_labels.size()) +
-                      (response->is_partial ? " degraded=1" : ""));
-  root_span.reset();
-  if (minted.valid() && impl.options.slow_request_log_ms > 0 &&
-      response->latency_ms >=
-          static_cast<double>(impl.options.slow_request_log_ms)) {
-    SNORKEL_LOG(Warning) << "slow request: " << response->latency_ms
-                         << " ms (threshold "
-                         << impl.options.slow_request_log_ms << " ms) trace="
-                         << minted.trace_id << "\n"
-                         << obs::FormatSpanTree(obs::CollectSpans(
-                                minted.trace_id, /*drain=*/false));
-  }
+  root_span.Annotate("rows=" + std::to_string(response->hard_labels.size()) +
+                     (response->is_partial ? " degraded=1" : ""));
   return response;
 }
 

@@ -50,7 +50,7 @@ struct RemoteRouterStats {
 /// request counters are the routing core ShardRouter shares
 /// (shard/routing_core.h); this class supplies only the remote backend —
 /// the per-shard failover chain, retry budget and backoff — plus the
-/// router.request trace root and the slow-request log.
+/// router.request trace root.
 ///
 /// Guarantees (the fabric-level extension of ShardRouter's):
 ///  - All shards healthy → the merged response is BITWISE-IDENTICAL to one
@@ -99,11 +99,6 @@ class RemoteShardRouter {
     /// Backoff between attempts that dispatched work (seeded jitter; one
     /// stream per shard).
     BackoffOptions backoff;
-    /// Slow-request log threshold: a traced request whose end-to-end
-    /// latency is >= this many ms logs its span tree at Warning through
-    /// util/logging. 0 disables. Only fires when tracing is enabled (the
-    /// request must have a trace id to collect spans for).
-    uint64_t slow_request_log_ms = 0;
   };
 
   /// One stub per endpoint; primary placement = CandidateShardKey %

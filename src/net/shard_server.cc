@@ -220,7 +220,8 @@ struct ShardServer::Impl {
   /// current generation.
   Result<LabelResponse> ServeLabel(const LabelRequest& request) {
     // Injection site "server.label": delay schedules sleep here and the
-    // request proceeds bit-identically (the inject_delay_* flags arm this);
+    // request proceeds bit-identically (a slow replica, armed with
+    // fault::Arm, --fault or kFaultRequest);
     // fail schedules reject the job with the typed error a dying replica
     // would produce.
     if (fault::Point("server.label")) {
@@ -535,14 +536,6 @@ struct ShardServer::Impl {
     // Default process label for stitched traces; a CLI that hosts several
     // servers (or wants its own name) calls SetProcessLabel itself after.
     obs::SetProcessLabel("shard-" + std::to_string(listener.port()));
-    if (options.inject_delay_every_n > 0) {
-      fault::Schedule delay;
-      delay.kind = fault::Schedule::Kind::kDelayNth;
-      delay.n = options.inject_delay_every_n;
-      delay.delay_ms = options.inject_delay_ms;
-      (void)fault::Arm("server.label", delay);  // Validated above n >= 1.
-      RememberArmedSite("server.label");
-    }
     accept_thread = std::thread([this] { AcceptLoop(); });
     if (store.has_value()) {
       watcher_thread = std::thread([this] { WatchLoop(); });

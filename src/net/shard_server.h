@@ -72,15 +72,6 @@ class ShardServer {
     /// dropped after this long instead of pinning the handler thread — and
     /// with it Shutdown()'s drain — forever. 0 = no deadline.
     uint64_t send_deadline_ms = 30'000;
-    /// Latency injection for tests and benches: every Nth label request
-    /// (1-based, process-wide) sleeps `inject_delay_ms` before serving.
-    /// 0 disables. Injected latency only — results stay bit-identical.
-    /// Implemented as a thin wrapper over the util/fault.h fabric (arms
-    /// site "server.label" with a delay-nth schedule); the same site — and
-    /// the transport/admission sites — are also wire-configurable via
-    /// kFaultRequest.
-    uint64_t inject_delay_every_n = 0;
-    uint64_t inject_delay_ms = 0;
   };
 
   /// Serves a single artifact file (no watcher; snapshot_version is the

@@ -3,13 +3,12 @@
 #include <time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <deque>
 #include <mutex>
 #include <random>
-#include <unordered_map>
+#include <utility>
 
 namespace snorkel {
 namespace obs {
@@ -213,52 +212,6 @@ std::string ProcessLabel() {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "pid-%d", static_cast<int>(getpid()));
   return buf;
-}
-
-std::string FormatSpanTree(const std::vector<Span>& spans) {
-  if (spans.empty()) return "(no spans)\n";
-  std::vector<const Span*> ordered;
-  ordered.reserve(spans.size());
-  std::unordered_map<uint64_t, const Span*> by_id;
-  for (const Span& span : spans) {
-    ordered.push_back(&span);
-    by_id.emplace(span.span_id, &span);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Span* a, const Span* b) {
-              if (a->start_ns != b->start_ns) return a->start_ns < b->start_ns;
-              return a->span_id < b->span_id;
-            });
-  const uint64_t origin = ordered.front()->start_ns;
-  std::string out;
-  char buf[160];
-  for (const Span* span : ordered) {
-    // Depth = number of resolvable ancestors (cross-process parents that
-    // were not collected truncate the chain rather than crashing).
-    int depth = 0;
-    uint64_t parent = span->parent_id;
-    while (parent != 0 && depth < 16) {
-      auto it = by_id.find(parent);
-      if (it == by_id.end()) break;
-      ++depth;
-      parent = it->second->parent_id;
-    }
-    const double offset_ms =
-        static_cast<double>(span->start_ns - origin) / 1e6;
-    const double duration_ms =
-        static_cast<double>(span->end_ns - span->start_ns) / 1e6;
-    out.append(static_cast<size_t>(depth) * 2, ' ');
-    std::snprintf(buf, sizeof(buf), "%-24s +%8.3f ms  %9.3f ms",
-                  span->name.c_str(), offset_ms, duration_ms);
-    out += buf;
-    if (!span->annotation.empty()) {
-      out += "  [";
-      out += span->annotation;
-      out += ']';
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace obs

@@ -128,7 +128,7 @@ void FlushThreadSpans();
 
 /// Returns ring spans with the given trace id (0 matches all), oldest
 /// first. `drain` removes the returned spans from the ring (the
-/// kTraceRequest RPC drains; the slow-request log copies).
+/// kTraceRequest RPC drains).
 std::vector<Span> CollectSpans(uint64_t trace_id, bool drain);
 
 /// Spans discarded because the ring was full (oldest-first eviction).
@@ -141,11 +141,6 @@ void SetSpanRingCapacityForTest(size_t capacity);
 /// (e.g. "router", "shard-0"). Defaults to "pid-<pid>".
 void SetProcessLabel(const std::string& label);
 std::string ProcessLabel();
-
-/// Multi-line indented rendering of one trace's span tree (slow-request
-/// log format): spans sorted by start time, children indented under
-/// parents, durations in milliseconds.
-std::string FormatSpanTree(const std::vector<Span>& spans);
 
 }  // namespace obs
 }  // namespace snorkel

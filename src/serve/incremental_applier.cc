@@ -4,21 +4,16 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
-#include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
-#include "lf/compiled/engine.h"
-#include "lf/compiled/program.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
 
 namespace snorkel {
 
@@ -147,18 +142,14 @@ struct SetEntry {
 
 using SetMap = std::unordered_map<uint64_t, std::shared_ptr<SetEntry>>;
 
-/// One column for the compute loop: LF `lf_index` into `labels` (m entries)
-/// over rows [start_row, m); rows below start_row hold a cached prefix.
-struct ColumnTask {
-  size_t lf_index = 0;
-  Label* labels = nullptr;
-  size_t start_row = 0;
-};
-
 }  // namespace
 
 struct IncrementalApplier::State {
-  Options options;
+  /// Options::max_cached_bytes.
+  const uint64_t max_cached_bytes;
+  /// Computes every column this cache does not reuse, and owns the
+  /// dedicated pool when num_threads > 1.
+  const LFApplier applier;
 
   /// Guards the set map's structure, the row-count index and the resident
   /// flags; hits take it shared.
@@ -180,50 +171,46 @@ struct IncrementalApplier::State {
   /// LRU clock, bumped once per fingerprinted Apply.
   std::atomic<uint64_t> tick{0};
 
-  // Cumulative counters (relaxed; stats() is a snapshot, not a barrier).
-  std::atomic<uint64_t> columns_reused{0};
-  std::atomic<uint64_t> columns_computed{0};
-  std::atomic<uint64_t> set_hits{0};
-  std::atomic<uint64_t> set_misses{0};
-  std::atomic<uint64_t> unadmitted_sets{0};
-  std::atomic<uint64_t> appended_rows{0};
-  std::atomic<uint64_t> evicted_sets{0};
+  // Cumulative counters, exported under snorkel_cache_*; stats() reads them.
+  std::shared_ptr<obs::Counter> columns_reused;
+  std::shared_ptr<obs::Counter> columns_computed;
+  std::shared_ptr<obs::Counter> set_hits;
+  std::shared_ptr<obs::Counter> set_misses;
+  std::shared_ptr<obs::Counter> unadmitted_sets;
+  std::shared_ptr<obs::Counter> appended_rows;
+  std::shared_ptr<obs::Counter> evicted_sets;
 
-  /// Dedicated pool per the shared applier threading convention
-  /// (util/thread_pool.h): null unless num_threads > 1.
-  std::unique_ptr<ThreadPool> pool;
-
-  /// Registry callback tokens for the cache counters. The callbacks
-  /// capture `this`; UnregisterCallback in ~State is the lifetime barrier
-  /// (callbacks run under the registry lock). State sits behind a
-  /// unique_ptr, so its address is stable across applier moves.
-  std::vector<uint64_t> metric_tokens;
+  /// Registry token of the snorkel_cache_bytes gauge, whose callback reads
+  /// cached_bytes through `this`. UnregisterCallback in ~State is the
+  /// lifetime barrier (callbacks run under the registry lock); State sits
+  /// behind a unique_ptr, so its address is stable across applier moves.
+  uint64_t bytes_gauge_token = 0;
 
   explicit State(Options opts)
-      : options(opts), pool(MakeDedicatedPool(opts.num_threads)) {
+      : max_cached_bytes(opts.max_cached_bytes),
+        applier(LFApplier::Options{opts.num_threads, opts.cardinality,
+                                   opts.use_compiled, opts.compiled_program}) {
     auto& registry = obs::MetricsRegistry::Default();
-    auto expose = [&](const char* name, obs::MetricType type,
-                      std::atomic<uint64_t>* counter) {
-      metric_tokens.push_back(
-          registry.RegisterCallback(name, type, [counter]() {
-            return static_cast<double>(
-                counter->load(std::memory_order_relaxed));
-          }));
-    };
-    const obs::MetricType counter = obs::MetricType::kCounter;
-    expose("snorkel_cache_columns_reused_total", counter, &columns_reused);
-    expose("snorkel_cache_columns_computed_total", counter, &columns_computed);
-    expose("snorkel_cache_set_hits_total", counter, &set_hits);
-    expose("snorkel_cache_set_misses_total", counter, &set_misses);
-    expose("snorkel_cache_unadmitted_sets_total", counter, &unadmitted_sets);
-    expose("snorkel_cache_appended_rows_total", counter, &appended_rows);
-    expose("snorkel_cache_evicted_sets_total", counter, &evicted_sets);
-    expose("snorkel_cache_bytes", obs::MetricType::kGauge, &cached_bytes);
+    columns_reused =
+        registry.CreateCounter("snorkel_cache_columns_reused_total");
+    columns_computed =
+        registry.CreateCounter("snorkel_cache_columns_computed_total");
+    set_hits = registry.CreateCounter("snorkel_cache_set_hits_total");
+    set_misses = registry.CreateCounter("snorkel_cache_set_misses_total");
+    unadmitted_sets =
+        registry.CreateCounter("snorkel_cache_unadmitted_sets_total");
+    appended_rows =
+        registry.CreateCounter("snorkel_cache_appended_rows_total");
+    evicted_sets = registry.CreateCounter("snorkel_cache_evicted_sets_total");
+    bytes_gauge_token = registry.RegisterCallback(
+        "snorkel_cache_bytes", obs::MetricType::kGauge, [this]() {
+          return static_cast<double>(
+              cached_bytes.load(std::memory_order_relaxed));
+        });
   }
 
   ~State() {
-    auto& registry = obs::MetricsRegistry::Default();
-    for (uint64_t token : metric_tokens) registry.UnregisterCallback(token);
+    obs::MetricsRegistry::Default().UnregisterCallback(bytes_gauge_token);
   }
 
   bool Remembered(uint64_t digest) const {
@@ -281,140 +268,15 @@ struct IncrementalApplier::State {
     sets.erase(it);
   }
 
-  /// The one LF compute loop, for admitted sets (tasks write into claimed
-  /// cache columns) and unadmitted ones (request-local buffers) alike:
-  /// compiled dispatch scans each distinct sentence of the rows to compute
-  /// once, then every row answers its tasks from the hit stream or the
-  /// interpreter. Bitwise-identical either way, so columns stay
-  /// interchangeable. Returns a bad vote or an expired deadline typed.
-  Status Compute(const LabelingFunctionSet& lfs, const Corpus& corpus,
-                 RowSource rows, const std::vector<ColumnTask>& tasks,
-                 const CancelToken* cancel) {
-    const size_t m = rows.size;
-    size_t min_start = m;
-    for (const ColumnTask& task : tasks) {
-      min_start = std::min(min_start, task.start_row);
-    }
-    std::shared_ptr<const CompiledLfProgram> program;
-    if (options.use_compiled) {
-      if (options.compiled_program &&
-          ProgramMatchesLfSet(*options.compiled_program, lfs)) {
-        program = options.compiled_program;
-      } else {
-        program = GetOrCompileProgram(lfs);
-      }
-      bool any_compiled_task = false;
-      for (const ColumnTask& task : tasks) {
-        if (program->slot_of_lf[task.lf_index] >= 0) {
-          any_compiled_task = true;
-          break;
-        }
-      }
-      if (!any_compiled_task) program = nullptr;
-    }
-    std::optional<CompiledLfBatch> batch;
-    if (program != nullptr && min_start < m) {
-      std::vector<const Candidate*> candidates(m, nullptr);
-      for (size_t i = min_start; i < m; ++i) {
-        candidates[i] = &rows.candidate(i);
-      }
-      batch.emplace(program, corpus, candidates, min_start);
-    }
-
-    std::atomic<bool> has_error{false};
-    std::atomic<size_t> error_col{0};
-    std::atomic<Label> error_label{0};
-    // Latched when the caller's deadline expires mid-compute; the partial
-    // columns are then discarded (never cached half-filled).
-    std::atomic<bool> cancelled{false};
-    auto compute_row = [&](size_t i) {
-      // Cooperative cancellation at row chunk boundaries: probe the clock
-      // only every 64 rows (the token latches, so after first expiry this
-      // is a relaxed load for every sibling thread).
-      if ((i & 63) == 0 && cancel != nullptr && cancel->Expired()) {
-        cancelled.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (cancelled.load(std::memory_order_relaxed)) return;
-      CandidateView view(&corpus, &rows.candidate(i), rows.index(i));
-      for (const ColumnTask& task : tasks) {
-        if (i < task.start_row) continue;
-        int32_t slot = batch ? program->slot_of_lf[task.lf_index] : -1;
-        Label label = slot >= 0
-                          ? batch->Eval(static_cast<uint32_t>(slot), i)
-                          : lfs.at(task.lf_index).Apply(view);
-        if (!LabelValidFor(label, options.cardinality)) {
-          bool expected = false;
-          if (has_error.compare_exchange_strong(expected, true)) {
-            error_col.store(task.lf_index);
-            error_label.store(label);
-          }
-          return;
-        }
-        task.labels[i] = label;
-      }
-    };
-    // Shared applier threading convention (util/thread_pool.h).
-    ParallelApplyRows(pool.get(), options.num_threads, min_start, m,
-                      compute_row);
-    if (has_error.load()) {
-      return Status::InvalidArgument(
-          "LF '" + lfs.at(error_col.load()).name() + "' voted " +
-          std::to_string(error_label.load()) + ", invalid for cardinality " +
-          std::to_string(options.cardinality));
-    }
-    if (cancelled.load()) {
-      return Status::DeadlineExceeded(
-          "request deadline expired during LF application; no partial "
-          "column was cached");
-    }
-    return Status::OK();
-  }
-
-  /// Λ (m rows, n LFs) from the column `column_of(j)` resolved for each LF
-  /// position j (m labels each).
-  template <typename ColumnOf>
-  Result<LabelMatrix> Assemble(size_t m, size_t n, ColumnOf column_of) const {
-    std::vector<std::tuple<size_t, size_t, Label>> triplets;
-    for (size_t j = 0; j < n; ++j) {
-      const Label* column = column_of(j);
-      for (size_t i = 0; i < m; ++i) {
-        if (column[i] != kAbstain) triplets.emplace_back(i, j, column[i]);
-      }
-    }
-    return LabelMatrix::FromTriplets(m, n, triplets, options.cardinality);
-  }
-
-  /// Serves a set without admitting it: each distinct LF column is computed
-  /// into a request-local buffer. No set entry, no column, no cache lock.
+  /// Serves a set without admitting it: a plain LF application, with no
+  /// set entry, no column and no cache lock.
   Result<LabelMatrix> ApplyUnadmitted(const LabelingFunctionSet& lfs,
                                       const Corpus& corpus, RowSource rows,
                                       const CancelToken* cancel) {
-    const size_t m = rows.size;
-    const size_t n = lfs.size();
-    unadmitted_sets.fetch_add(1, std::memory_order_relaxed);
-    // LFs sharing a fingerprint share one column, as in the cache.
-    std::vector<uint64_t> fingerprints;
-    std::vector<std::vector<Label>> buffers;
-    buffers.reserve(n);
-    std::vector<ColumnTask> tasks;
-    std::vector<const Label*> by_position(n);
-    for (size_t j = 0; j < n; ++j) {
-      const uint64_t lf_fp = lfs.at(j).fingerprint();
-      const size_t seen = static_cast<size_t>(
-          std::find(fingerprints.begin(), fingerprints.end(), lf_fp) -
-          fingerprints.begin());
-      if (seen == fingerprints.size()) {
-        fingerprints.push_back(lf_fp);
-        buffers.emplace_back(m, kAbstain);
-        tasks.push_back(ColumnTask{j, buffers.back().data(), 0});
-      }
-      by_position[j] = buffers[seen].data();
-    }
-    Status status = Compute(lfs, corpus, rows, tasks, cancel);
-    if (!status.ok()) return status;
-    columns_computed.fetch_add(tasks.size(), std::memory_order_relaxed);
-    return Assemble(m, n, [&](size_t j) { return by_position[j]; });
+    unadmitted_sets->Increment();
+    Result<LabelMatrix> matrix = applier.ApplyRows(lfs, corpus, rows, cancel);
+    if (matrix.ok()) columns_computed->Increment(lfs.size());
+    return matrix;
   }
 
   /// Set when an eviction pass left the cache over budget because every
@@ -430,7 +292,7 @@ struct IncrementalApplier::State {
   /// retries via evict_pending). Within budget it returns on the running
   /// total without a lock; otherwise it is exclusive over sets_mu.
   void EvictOverBudget() {
-    const uint64_t budget = options.max_cached_bytes;
+    const uint64_t budget = max_cached_bytes;
     if (cached_bytes.load(std::memory_order_relaxed) <= budget &&
         !evict_pending.load(std::memory_order_relaxed)) {
       return;
@@ -449,7 +311,7 @@ struct IncrementalApplier::State {
       }
       if (victim == sets.end()) break;  // Everything left is pinned.
       DropSet(victim);
-      evicted_sets.fetch_add(1, std::memory_order_relaxed);
+      evicted_sets->Increment();
     }
     evict_pending.store(cached_bytes.load(std::memory_order_relaxed) > budget,
                         std::memory_order_relaxed);
@@ -500,18 +362,14 @@ void IncrementalApplier::Invalidate(uint64_t fingerprint) {
 
 IncrementalApplier::Stats IncrementalApplier::stats() const {
   Stats stats;
-  stats.columns_reused =
-      state_->columns_reused.load(std::memory_order_relaxed);
-  stats.columns_computed =
-      state_->columns_computed.load(std::memory_order_relaxed);
-  stats.set_hits = state_->set_hits.load(std::memory_order_relaxed);
-  stats.set_misses = state_->set_misses.load(std::memory_order_relaxed);
-  stats.unadmitted_sets =
-      state_->unadmitted_sets.load(std::memory_order_relaxed);
+  stats.columns_reused = state_->columns_reused->value();
+  stats.columns_computed = state_->columns_computed->value();
+  stats.set_hits = state_->set_hits->value();
+  stats.set_misses = state_->set_misses->value();
+  stats.unadmitted_sets = state_->unadmitted_sets->value();
   stats.bytes_cached = state_->cached_bytes.load(std::memory_order_relaxed);
-  stats.appended_rows =
-      state_->appended_rows.load(std::memory_order_relaxed);
-  stats.evicted_sets = state_->evicted_sets.load(std::memory_order_relaxed);
+  stats.appended_rows = state_->appended_rows->value();
+  stats.evicted_sets = state_->evicted_sets->value();
   return stats;
 }
 
@@ -533,19 +391,13 @@ size_t IncrementalApplier::cached_sets() const {
 Result<LabelMatrix> IncrementalApplier::Apply(
     const LabelingFunctionSet& lfs, const Corpus& corpus,
     const std::vector<Candidate>& candidates, const CancelToken* cancel) {
-  RowSource rows;
-  rows.owned = candidates.data();
-  rows.size = candidates.size();
-  return ApplyInternal(lfs, corpus, rows, cancel);
+  return ApplyInternal(lfs, corpus, RowSource::Of(candidates), cancel);
 }
 
 Result<LabelMatrix> IncrementalApplier::ApplyRefs(
     const LabelingFunctionSet& lfs, const Corpus& corpus,
     const std::vector<CandidateRef>& refs, const CancelToken* cancel) {
-  RowSource rows;
-  rows.refs = refs.data();
-  rows.size = refs.size();
-  return ApplyInternal(lfs, corpus, rows, cancel);
+  return ApplyInternal(lfs, corpus, RowSource::Of(refs), cancel);
 }
 
 Result<LabelMatrix> IncrementalApplier::ApplyInternal(
@@ -553,7 +405,7 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
     const CancelToken* cancel) {
   State& state = *state_;
   // A budget of 0 never admits a set, so there is nothing to look up.
-  if (state.options.max_cached_bytes == 0) {
+  if (state.max_cached_bytes == 0) {
     return state.ApplyUnadmitted(lfs, corpus, rows, cancel);
   }
   const size_t m = rows.size;
@@ -628,11 +480,7 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
       inserted = true;
     }
   }
-  if (inserted) {
-    state.set_misses.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    state.set_hits.fetch_add(1, std::memory_order_relaxed);
-  }
+  (inserted ? state.set_misses : state.set_hits)->Increment();
   // Releases the pin taken above (taken under sets_mu, so eviction never
   // sees the entry unpinned between lookup and use) on every exit path.
   // If an eviction pass stalled on pinned entries while this call ran, the
@@ -717,9 +565,7 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
     by_position[j] = column;
     resolved.emplace(lf_fp, std::move(column));
   }
-  if (reused > 0) {
-    state.columns_reused.fetch_add(reused, std::memory_order_relaxed);
-  }
+  if (reused > 0) state.columns_reused->Increment(reused);
 
   // ---- Compute the claimed columns in one fused pass over the rows each
   // needs: full columns start at row 0, append-extensions copy the cached
@@ -794,7 +640,8 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
       tasks.push_back(ColumnTask{claim.lf_index, claim.column->labels.data(),
                                  claim.start_row});
     }
-    Status status = state.Compute(lfs, corpus, rows, tasks, cancel);
+    Status status =
+        state.applier.ApplyColumns(lfs, corpus, rows, tasks, cancel);
     if (!status.ok()) {
       // A bad vote or an expired deadline: abandon the claims through the
       // cache-safe path — pulled off the map (future lookups recompute),
@@ -830,11 +677,8 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
       }
     }
     abort_guard.armed = false;
-    state.columns_computed.fetch_add(claimed.size(),
-                                     std::memory_order_relaxed);
-    if (appended > 0) {
-      state.appended_rows.fetch_add(appended, std::memory_order_relaxed);
-    }
+    state.columns_computed->Increment(claimed.size());
+    if (appended > 0) state.appended_rows->Increment(appended);
     {
       std::lock_guard<std::mutex> lock(entry->wait_mu);
     }
@@ -867,8 +711,9 @@ Result<LabelMatrix> IncrementalApplier::ApplyInternal(
       return by_position[j]->error;
     }
   }
-  Result<LabelMatrix> matrix = state.Assemble(
-      m, n, [&](size_t j) { return by_position[j]->labels.data(); });
+  std::vector<const Label*> columns(n);
+  for (size_t j = 0; j < n; ++j) columns[j] = by_position[j]->labels.data();
+  Result<LabelMatrix> matrix = state.applier.Assemble(m, columns);
 
   // Miss paths grew the cache: enforce the byte budget before returning.
   // Hits skip this, so they stay exclusive-lock-free.

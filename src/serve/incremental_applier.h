@@ -78,9 +78,14 @@ SetFingerprint FingerprintCandidateRefs(const std::vector<CandidateRef>& rows,
 /// set that extends a cached one by appending rows (the "candidates arrive in a growing log"
 /// shape) reuses the cached prefix and computes only the tail rows.
 ///
+/// The cache applies no LF itself. Its LFApplier (lf/applier.h), built from
+/// these Options, runs every column the cache cannot reuse through
+/// LFApplier::ApplyColumns, the loop training runs too; so a cached column
+/// and a freshly applied one are bitwise-identical.
+///
 /// Admission (TinyLFU-style): a set's columns enter the cache on its second
 /// sighting. A set seen for the first time is remembered in a fixed-size
-/// doorkeeper of set digests and served from request-local columns, with no
+/// doorkeeper of set digests and served by a plain LFApplier apply, with no
 /// cache entry, no exclusive lock and no eviction pass, so one-shot serving
 /// traffic costs a fingerprint and a few probes. A set is admitted when its
 /// digest is in the doorkeeper, or when one of its prefixes is a remembered
@@ -105,7 +110,8 @@ class IncrementalApplier {
 
   struct Options {
     /// Worker threads for miss computation; 0 = the process-wide shared
-    /// pool, 1 = serial, n > 1 = a dedicated pool owned by this applier.
+    /// pool, 1 = serial, n > 1 = a dedicated pool owned by this applier's
+    /// LFApplier.
     size_t num_threads = 0;
     /// Cardinality of the resulting matrix (2 = binary ±1).
     int cardinality = 2;
@@ -113,7 +119,8 @@ class IncrementalApplier {
     /// Least-recently-used sets are evicted beyond it; sets pinned by
     /// in-flight Apply calls are never evicted, so the budget is soft by
     /// the pinned working set. 0 turns the cache off: no set is ever
-    /// admitted and requests are not fingerprinted.
+    /// admitted, requests are not fingerprinted, and every Apply is a plain
+    /// LFApplier apply.
     size_t max_cached_bytes = kDefaultMaxCachedBytes;
     /// Compute cache-miss columns of compilable LFs through the batch
     /// engine (lf/compiled/) instead of interpreting per row. Bitwise
@@ -135,7 +142,8 @@ class IncrementalApplier {
     uint64_t set_hits = 0;
     uint64_t set_misses = 0;
     /// Apply calls served without admitting their set (first sightings, and
-    /// every call under a budget of 0); their columns count as computed.
+    /// every call under a budget of 0); each is a plain apply, so all its
+    /// LF positions count as computed columns.
     uint64_t unadmitted_sets = 0;
     /// Label bytes currently resident across all cached sets.
     uint64_t bytes_cached = 0;
@@ -189,8 +197,9 @@ class IncrementalApplier {
   /// when absent).
   void Invalidate(uint64_t fingerprint);
 
-  /// Consistent snapshot of the cumulative counters (atomics; never blocks
-  /// behind a miss computation).
+  /// Reads the cumulative counters, which live in the metrics registry as
+  /// the snorkel_cache_* instruments (never blocks behind a miss
+  /// computation).
   Stats stats() const;
 
   /// Total cached columns across all sets / currently cached sets.
@@ -199,20 +208,6 @@ class IncrementalApplier {
 
  private:
   struct State;
-
-  /// One request's rows in either form; row i is (candidate(i), index(i)).
-  struct RowSource {
-    const Candidate* owned = nullptr;      // index(i) == i
-    const CandidateRef* refs = nullptr;    // index(i) == refs[i].index
-    size_t size = 0;
-
-    const Candidate& candidate(size_t i) const {
-      return owned != nullptr ? owned[i] : *refs[i].candidate;
-    }
-    size_t index(size_t i) const {
-      return owned != nullptr ? i : refs[i].index;
-    }
-  };
 
   Result<LabelMatrix> ApplyInternal(const LabelingFunctionSet& lfs,
                                     const Corpus& corpus, RowSource rows,

@@ -184,7 +184,7 @@ struct ServiceStats {
 /// Every request goes through one IncrementalApplier. Its column cache
 /// admits a candidate set on the set's second sighting (see
 /// IncrementalApplier): a batch seen once — most fresh serving traffic — is
-/// labeled from request-local columns and never cached, repeat and
+/// labeled by a plain LFApplier apply and never cached, repeat and
 /// alternating batches hit from their third sighting, and an append-only
 /// stream computes only its tail from its third request. In a §4.1 edit
 /// session the first edit recomputes every column once; each later edit

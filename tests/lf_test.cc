@@ -246,6 +246,13 @@ TEST(LFApplierTest, BuildsLabelMatrix) {
   EXPECT_EQ(matrix->At(1, 0), kAbstain);
   EXPECT_EQ(matrix->At(1, 1), -1);
   EXPECT_EQ(matrix->At(1, 2), kAbstain);
+  // A naive reference: each LF applied to each row on its own.
+  for (size_t i = 0; i < fx.candidates.size(); ++i) {
+    for (size_t j = 0; j < lfs.size(); ++j) {
+      EXPECT_EQ(matrix->At(i, j), lfs.at(j).Apply(fx.View(i)))
+          << "row " << i << ", LF " << j;
+    }
+  }
 }
 
 TEST(LFApplierTest, SerialAndParallelAgree) {

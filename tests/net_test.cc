@@ -715,7 +715,24 @@ TEST(ShardServerTest, LoopbackBitwiseParityWithInProcessService) {
   std::remove(path.c_str());
 }
 
+/// Disarms every fault site on scope exit: the registry is process-wide,
+/// and a schedule leaking out of one test would poison the next.
+struct FaultGuard {
+  ~FaultGuard() { fault::DisarmAll(); }
+};
+
+/// Arms "server.label" so every label request in the process sleeps
+/// `delay_ms` before it is served: a slow replica, with unchanged results.
+void DelayEveryLabel(uint64_t delay_ms) {
+  fault::Schedule delay;
+  delay.kind = fault::Schedule::Kind::kDelayNth;
+  delay.n = 1;
+  delay.delay_ms = delay_ms;
+  ASSERT_TRUE(fault::Arm("server.label", delay).ok());
+}
+
 TEST(ShardServerTest, QueueBackpressureIsTypedResourceExhausted) {
+  FaultGuard guard;
   NetFixture fx(32);
   ModelSnapshot snapshot = fx.MakeSnapshot(fx.MakeLfs());
   std::string path = TempPath("backpressure.snk");
@@ -724,8 +741,8 @@ TEST(ShardServerTest, QueueBackpressureIsTypedResourceExhausted) {
   ShardServer::Options options;
   options.queue_capacity = 1;
   options.num_workers = 1;
-  options.inject_delay_every_n = 1;  // Every request holds the worker...
-  options.inject_delay_ms = 50;      // ...long enough to fill the queue.
+  // Every request holds the worker long enough to fill the queue.
+  DelayEveryLabel(50);
   auto server = ShardServer::Serve(path, fx.MakeLfs(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -766,6 +783,7 @@ TEST(ShardServerTest, QueueBackpressureIsTypedResourceExhausted) {
 }
 
 TEST(ShardServerTest, SpentDeadlineFailsTypedWithoutDeadWork) {
+  FaultGuard guard;
   NetFixture fx(32);
   ModelSnapshot snapshot = fx.MakeSnapshot(fx.MakeLfs());
   std::string path = TempPath("deadline.snk");
@@ -774,8 +792,7 @@ TEST(ShardServerTest, SpentDeadlineFailsTypedWithoutDeadWork) {
   ShardServer::Options options;
   options.queue_capacity = 8;
   options.num_workers = 1;
-  options.inject_delay_every_n = 1;
-  options.inject_delay_ms = 300;  // The first job pins the only worker.
+  DelayEveryLabel(300);  // The first job pins the only worker.
   auto server = ShardServer::Serve(path, fx.MakeLfs(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -858,6 +875,7 @@ TEST(ShardServerTest, ExpiredBudgetCancelsComputeMidFlight) {
   // budget, and the replica's chunk-boundary token checks stop the LF
   // compute mid-flight — typed kDeadlineExceeded, counted as
   // expired_work_cancelled (NOT a pre-compute deadline_rejection).
+  FaultGuard guard;
   NetFixture fx(128);
   ModelSnapshot snapshot = fx.MakeSnapshot(fx.MakeLfs());
   std::string path = TempPath("cancel_midflight.snk");
@@ -865,8 +883,7 @@ TEST(ShardServerTest, ExpiredBudgetCancelsComputeMidFlight) {
 
   ShardServer::Options options;
   options.num_workers = 1;
-  options.inject_delay_every_n = 1;
-  options.inject_delay_ms = 80;  // Outlives the 30 ms budget below.
+  DelayEveryLabel(80);  // Outlives the 30 ms budget below.
   auto server = ShardServer::Serve(path, fx.MakeLfs(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -907,6 +924,7 @@ TEST(ShardServerTest, OverloadRejectionsCarryRetryAfterHint) {
   // Every kResourceExhausted the server emits carries a non-zero
   // retry_after_ms hint priced off the queued backlog, surfaced through
   // the client's out-param and fed to its adaptive limiter.
+  FaultGuard guard;
   NetFixture fx(32);
   ModelSnapshot snapshot = fx.MakeSnapshot(fx.MakeLfs());
   std::string path = TempPath("retry_after.snk");
@@ -915,8 +933,7 @@ TEST(ShardServerTest, OverloadRejectionsCarryRetryAfterHint) {
   ShardServer::Options options;
   options.queue_capacity = 1;
   options.num_workers = 1;
-  options.inject_delay_every_n = 1;
-  options.inject_delay_ms = 50;
+  DelayEveryLabel(50);
   auto server = ShardServer::Serve(path, fx.MakeLfs(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -1563,12 +1580,6 @@ TEST(AdaptiveLimiterTest, RetryAfterHintGatesNewAcquisitions) {
 }
 
 // ------------------------------------------- fault sites in the transport --
-
-/// Disarms every fault site on scope exit: the registry is process-wide,
-/// and a schedule leaking out of one test would poison the next.
-struct FaultGuard {
-  ~FaultGuard() { fault::DisarmAll(); }
-};
 
 TEST(RemoteClientTest, BudgetSpentBeforeSendingLeavesTheLimiterAlone) {
   // A request whose budget runs out on the client, before it is sent, never

@@ -348,17 +348,6 @@ TEST_F(TraceFixture, MintedIdsAreNonZeroAndTracingFlagGatesRoots) {
   EXPECT_TRUE(TracingEnabled());
 }
 
-TEST_F(TraceFixture, FormatSpanTreeIndentsChildrenUnderParents) {
-  TraceContext ctx;
-  ctx.trace_id = 11;
-  uint64_t root = EmitSpan(ctx, "router.request", 1'000'000, 9'000'000);
-  ctx.parent_span = root;
-  EmitSpan(ctx, "client.send", 2'000'000, 3'000'000);
-  std::string tree = FormatSpanTree(CollectSpans(11, /*drain=*/true));
-  EXPECT_NE(tree.find("router.request"), std::string::npos) << tree;
-  EXPECT_NE(tree.find("\n  client.send"), std::string::npos) << tree;
-}
-
 // ------------------------------------------------------------- span codec --
 
 TEST_F(TraceFixture, SpanBatchRoundTripsAndToleratesTrailingBytes) {

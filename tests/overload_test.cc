@@ -229,7 +229,7 @@ TEST(OverloadTest, SaturationHoldsGoodputCancelsExpiredWorkAndRecovers) {
   ASSERT_TRUE(server.Start(
       path, {"--workers", "1", "--queue-capacity", "8", "--queue-cost-budget",
              "200", "--interactive-rows", "16", "--sojourn-target-ms", "25",
-             "--inject-delay-every-n", "1", "--inject-delay-ms", "5"}));
+             "--fault", "server.label=delay-nth:1:5"}));
 
   std::vector<CandidateRef> all_rows = MakeCandidateRefs(fx.candidates);
   std::vector<CandidateRef> small_rows(all_rows.begin(), all_rows.begin() + 4);

@@ -263,6 +263,22 @@ struct ServeFixture {
   }
 };
 
+/// Checks `matrix` against a naive reference: each LF applied to each row
+/// on its own, row i reporting index i.
+void ExpectNaiveLabels(const LabelMatrix& matrix,
+                       const LabelingFunctionSet& lfs, const Corpus& corpus,
+                       const std::vector<Candidate>& candidates) {
+  ASSERT_EQ(matrix.num_rows(), candidates.size());
+  ASSERT_EQ(matrix.num_lfs(), lfs.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const CandidateView view(&corpus, &candidates[i], i);
+    for (size_t j = 0; j < lfs.size(); ++j) {
+      EXPECT_EQ(matrix.At(i, j), lfs.at(j).Apply(view))
+          << "row " << i << ", LF " << j;
+    }
+  }
+}
+
 TEST(IncrementalApplierTest, MatchesPlainApplier) {
   ServeFixture fx;
   LabelingFunctionSet lfs = fx.MakeLfs();
@@ -278,6 +294,7 @@ TEST(IncrementalApplierTest, MatchesPlainApplier) {
       EXPECT_EQ(actual->At(i, j), expected->At(i, j));
     }
   }
+  ExpectNaiveLabels(*actual, lfs, fx.corpus, fx.candidates);
 }
 
 TEST(IncrementalApplierTest, EditingOneLfRecomputesOneColumn) {
@@ -639,6 +656,39 @@ bool MatrixEquals(const LabelMatrix& actual, const LabelMatrix& expected) {
     }
   }
   return true;
+}
+
+TEST(IncrementalApplierTest, RepeatedLfGivesTheSameMatrixOnEveryPath) {
+  // The same LF at two positions: one fingerprint, two columns of Λ.
+  ServeFixture fx;
+  LabelingFunctionSet lfs = fx.MakeLfs();
+  lfs.Add(MakeKeywordBetweenLF("lf_causes", {"cause"}, 1));
+  ASSERT_EQ(lfs.at(0).fingerprint(), lfs.at(3).fingerprint());
+  auto expected = LFApplier().Apply(lfs, fx.corpus, fx.candidates);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ExpectNaiveLabels(*expected, lfs, fx.corpus, fx.candidates);
+
+  IncrementalApplier cached;
+  IncrementalApplier uncached(
+      IncrementalApplier::Options{.max_cached_bytes = 0});
+  // Sightings 1-3 of one set: unadmitted, admitted, a cache hit.
+  for (int sighting = 1; sighting <= 3; ++sighting) {
+    auto from_cache = cached.Apply(lfs, fx.corpus, fx.candidates);
+    auto from_plain = uncached.Apply(lfs, fx.corpus, fx.candidates);
+    ASSERT_TRUE(from_cache.ok()) << from_cache.status().ToString();
+    ASSERT_TRUE(from_plain.ok()) << from_plain.status().ToString();
+    EXPECT_TRUE(MatrixEquals(*from_cache, *expected)) << sighting;
+    EXPECT_TRUE(MatrixEquals(*from_plain, *expected)) << sighting;
+  }
+  // The cache holds one column per fingerprint. An unadmitted set is a
+  // plain apply, one column per LF position: 4 on the first sighting, then
+  // 3 distinct columns on admission.
+  EXPECT_EQ(cached.cached_sets(), 1u);
+  EXPECT_EQ(cached.cached_columns(), 3u);
+  EXPECT_EQ(cached.stats().columns_computed, 4u + 3u);
+  EXPECT_EQ(cached.stats().columns_reused, 3u);
+  EXPECT_EQ(uncached.cached_sets(), 0u);
+  EXPECT_EQ(uncached.stats().columns_computed, 3u * 4u);
 }
 
 /// `lfs` with LF `target` re-versioned: same behaviour, new fingerprint (the

@@ -8,7 +8,6 @@
 //                [--queue-cost-budget N] [--interactive-rows N]
 //                [--sojourn-target-ms N]
 //                [--watch-interval-ms N]
-//                [--inject-delay-every-n N] [--inject-delay-ms N]
 //                [--fault site=kind:params ...] [--process-label NAME]
 //
 // --queue-cost-budget turns on cost-aware admission (jobs priced rows × LFs
@@ -114,10 +113,6 @@ int main(int argc, char** argv) {
       options.num_workers = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--watch-interval-ms") {
       options.watch_interval_ms = static_cast<uint64_t>(std::atoll(next()));
-    } else if (arg == "--inject-delay-every-n") {
-      options.inject_delay_every_n = static_cast<uint64_t>(std::atoll(next()));
-    } else if (arg == "--inject-delay-ms") {
-      options.inject_delay_ms = static_cast<uint64_t>(std::atoll(next()));
     } else if (arg == "--fault") {
       auto parsed = fault::ParseSpec(next());
       if (!parsed.ok()) {
