@@ -2,19 +2,22 @@
 // claims: the MV shortcut vs generative-model training (up to 1.8x per
 // pipeline execution), the linear cost of correlations in the Gibbs
 // sampler, structure-learning sweep cost, LF application throughput, and
-// the serving column cache's unadmitted and admitted-miss paths.
+// the serving column cache's unadmitted and admitted-miss paths, and the
+// Dawid-Skene EM behind K-class training and the binary warm start.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 
 #include "core/advantage.h"
+#include "core/dawid_skene.h"
 #include "core/generative_model.h"
 #include "core/majority_vote.h"
 #include "core/optimizer.h"
 #include "core/structure_learner.h"
 #include "lf/applier.h"
 #include "serve/incremental_applier.h"
+#include "synth/crossmodal.h"
 #include "synth/relation_task.h"
 #include "synth/synthetic_matrix.h"
 
@@ -152,6 +155,54 @@ void BM_PredictedAdvantage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictedAdvantage);
+
+/// Dawid-Skene EM in its two production shapes. `crowd`: the §4.1.2 crowd
+/// serving task (4096 items x 102 workers, K = 5) at a fixed 20 iterations.
+/// `cdr_warm_start`: the binary CDR matrix under GenerativeModel's warm
+/// start options (25 iterations, smoothing 1, default tol).
+const LabelMatrix& CrowdMatrix() {
+  static const LabelMatrix* matrix = [] {
+    auto task = MakeCrowdServingTask(CrowdServingOptions{
+        .num_items = 4096, .num_workers = 102, .cardinality = 5});
+    if (!task.ok()) std::abort();
+    auto result = LFApplier(LFApplier::Options{.cardinality = 5})
+                      .Apply(task->lfs, task->corpus, task->candidates);
+    return new LabelMatrix(std::move(result).value());
+  }();
+  return *matrix;
+}
+
+const LabelMatrix& CdrMatrix() {
+  static const LabelMatrix* matrix = [] {
+    auto task = MakeCdrTask(42, 1.0);
+    if (!task.ok()) std::abort();
+    auto result = LFApplier().Apply(task->lfs, task->corpus, task->candidates);
+    return new LabelMatrix(std::move(result).value());
+  }();
+  return *matrix;
+}
+
+void BM_DawidSkeneFit(benchmark::State& state, bool crowd) {
+  const LabelMatrix& matrix = crowd ? CrowdMatrix() : CdrMatrix();
+  DawidSkeneOptions options;
+  if (crowd) {
+    options.max_iters = 20;
+    options.tol = 0.0;
+  } else {
+    options.max_iters = 25;
+    options.smoothing = 1.0;
+  }
+  for (auto _ : state) {
+    DawidSkeneModel model(options);
+    benchmark::DoNotOptimize(model.Fit(matrix).ok());
+  }
+}
+BENCHMARK_CAPTURE(BM_DawidSkeneFit, crowd, true)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DawidSkeneFit, cdr_warm_start, false)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// Appendix C: LF application is embarrassingly parallel over candidates.
 void BM_LfApplication(benchmark::State& state) {

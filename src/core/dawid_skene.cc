@@ -5,17 +5,21 @@
 #include <cmath>
 
 #include "core/csr_kernels.h"
-#include "util/math_util.h"
 #include "util/thread_pool.h"
 
 namespace snorkel {
 
 namespace {
 
-/// Rows per shard in the EM loops; a constant (never the pool size), so
+/// Rows per M-step and serving shard; a constant (never the pool size), so
 /// per-shard partials reduced in shard order make Fit deterministic for any
-/// thread count.
+/// thread count. Changing it changes the M-step's summation order.
 constexpr size_t kRowGrain = 2048;
+
+/// Rows per E-step shard during Fit. The posterior kernel is row-pure and
+/// the convergence max is exact, so this grain is free to change: it is
+/// small enough that a few thousand rows still use every core.
+constexpr size_t kEStepGrain = 512;
 
 /// Cap on M-step shards: each one carries an O(n·k²) sufficient-statistics
 /// buffer, so the shard count must not scale with num_rows. The grain is
@@ -48,17 +52,19 @@ Status DawidSkeneModel::Fit(const LabelMatrix& matrix) {
   size_t m = matrix.num_rows();
   size_t n = num_lfs_;
   double s = options_.smoothing;
+  const KClassCsrView view = KClassCsrView::FromMatrix(matrix);
 
-  // Initialize posteriors from the (smoothed) plurality vote.
-  std::vector<std::vector<double>> posterior(m, std::vector<double>(k, 0.0));
+  // Flat m x k posteriors, initialized from the (smoothed) plurality vote.
+  std::vector<double> posterior(m * k, s + 1e-3);
+  std::vector<double> next(m * k);
   for (size_t i = 0; i < m; ++i) {
-    for (double& p : posterior[i]) p = s + 1e-3;
-    for (const auto& e : matrix.row(i)) {
-      posterior[i][LabelToClass(e.label)] += 1.0;
+    double* row = posterior.data() + i * k;
+    for (size_t t = view.offsets[i]; t < view.offsets[i + 1]; ++t) {
+      row[view.emitted[t]] += 1.0;
     }
     double z = 0.0;
-    for (double p : posterior[i]) z += p;
-    for (double& p : posterior[i]) p /= z;
+    for (size_t c = 0; c < k; ++c) z += row[c];
+    for (size_t c = 0; c < k; ++c) row[c] /= z;
   }
 
   class_priors_.assign(k, 1.0 / static_cast<double>(k));
@@ -72,7 +78,7 @@ Status DawidSkeneModel::Fit(const LabelMatrix& matrix) {
   size_t m_grain =
       std::max(kRowGrain, (m + kMaxMStepShards - 1) / kMaxMStepShards);
   size_t num_m_shards = (m + m_grain - 1) / m_grain;
-  size_t num_e_shards = (m + kRowGrain - 1) / kRowGrain;
+  size_t num_e_shards = (m + kEStepGrain - 1) / kEStepGrain;
   std::vector<double> shard_conf(num_m_shards * n * k * k);
   std::vector<double> shard_prior(num_m_shards * k);
   std::vector<double> shard_max(num_e_shards);
@@ -88,12 +94,11 @@ Status DawidSkeneModel::Fit(const LabelMatrix& matrix) {
           double* prior_acc = shard_prior.data() + shard * k;
           double* conf_acc = shard_conf.data() + shard * n * k * k;
           for (size_t i = lo; i < hi; ++i) {
-            for (size_t c = 0; c < k; ++c) prior_acc[c] += posterior[i][c];
-            for (const auto& e : matrix.row(i)) {
-              size_t emitted = LabelToClass(e.label);
-              for (size_t c = 0; c < k; ++c) {
-                conf_acc[(e.lf * k + c) * k + emitted] += posterior[i][c];
-              }
+            const double* row = posterior.data() + i * k;
+            for (size_t c = 0; c < k; ++c) prior_acc[c] += row[c];
+            for (size_t t = view.offsets[i]; t < view.offsets[i + 1]; ++t) {
+              double* acc = conf_acc + view.lf[t] * k * k + view.emitted[t];
+              for (size_t c = 0; c < k; ++c) acc[c * k] += row[c];
             }
           }
         });
@@ -126,40 +131,29 @@ Status DawidSkeneModel::Fit(const LabelMatrix& matrix) {
         for (double& v : confusions_[j][c]) v /= z;
       }
     }
+    BuildLogTables();
 
-    // ---- E-step: disjoint per-row posterior writes; the convergence
-    // statistic is a max, reduced over shards. ----
-    std::fill(shard_max.begin(), shard_max.end(), 0.0);
+    // ---- E-step: the serving kernel over this iteration's log-tables; the
+    // convergence statistic is a max, reduced over shards. ----
     pool->ParallelForShards(
-        0, m, kRowGrain, [&](size_t shard, size_t lo, size_t hi) {
+        0, m, kEStepGrain, [&](size_t shard, size_t lo, size_t hi) {
+          KClassPosteriorRows(view, log_priors_.data(), log_conf_emit_.data(),
+                              lo, hi, next.data());
           double shard_change = 0.0;
-          std::vector<double> log_post(k);
-          for (size_t i = lo; i < hi; ++i) {
-            for (size_t c = 0; c < k; ++c) {
-              log_post[c] = std::log(class_priors_[c]);
-            }
-            for (const auto& e : matrix.row(i)) {
-              size_t emitted = LabelToClass(e.label);
-              for (size_t c = 0; c < k; ++c) {
-                log_post[c] += std::log(confusions_[e.lf][c][emitted]);
-              }
-            }
-            SoftmaxInPlace(&log_post);
-            for (size_t c = 0; c < k; ++c) {
-              shard_change = std::max(
-                  shard_change, std::fabs(log_post[c] - posterior[i][c]));
-              posterior[i][c] = log_post[c];
-            }
+          for (size_t x = lo * k; x < hi * k; ++x) {
+            shard_change =
+                std::max(shard_change, std::fabs(next[x] - posterior[x]));
           }
           shard_max[shard] = shard_change;
         });
+    posterior.swap(next);
     double max_change = 0.0;
     for (double v : shard_max) max_change = std::max(max_change, v);
     if (max_change < options_.tol) break;
   }
 
+  if (iterations_ == 0) BuildLogTables();  // max_iters <= 0: uniform model.
   is_fit_ = true;
-  BuildLogTables();
   return Status::OK();
 }
 
@@ -279,14 +273,14 @@ std::vector<std::vector<double>> DawidSkeneModel::PredictProba(
 
 std::vector<Label> DawidSkeneModel::PredictLabels(
     const LabelMatrix& matrix) const {
-  auto proba = PredictProba(matrix);
-  std::vector<Label> out(proba.size());
-  for (size_t i = 0; i < proba.size(); ++i) {
-    size_t best = 0;
-    for (size_t c = 1; c < proba[i].size(); ++c) {
-      if (proba[i][c] > proba[i][best]) best = c;
-    }
-    out[i] = ClassToLabel(best);
+  size_t k = static_cast<size_t>(cardinality_);
+  std::vector<double> proba = PredictProbaFlat(matrix);
+  std::vector<Label> out(matrix.num_rows());
+  for (size_t i = 0; i < out.size(); ++i) {
+    const double* row = proba.data() + i * k;
+    // Ties go to the lowest class index.
+    out[i] = ClassToLabel(
+        static_cast<size_t>(std::max_element(row, row + k) - row));
   }
   return out;
 }

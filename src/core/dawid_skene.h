@@ -19,8 +19,9 @@ struct DawidSkeneOptions {
   /// When false, class priors stay uniform.
   bool estimate_class_balance = true;
   /// Worker threads for the sharded EM row loops: 0 uses the process-wide
-  /// SharedThreadPool. Shard boundaries are fixed constants, so the fitted
-  /// model is identical for any value.
+  /// SharedThreadPool. The M-step's shard grain is fixed (it sets the
+  /// summation order); the E-step's is free, because its kernel is
+  /// row-pure. So the fitted model is identical for any value.
   int num_threads = 0;
 };
 
@@ -39,7 +40,8 @@ class DawidSkeneModel {
   explicit DawidSkeneModel(DawidSkeneOptions options = {});
 
   /// Fits confusion matrices and class priors with EM; initialization is the
-  /// plurality-vote posterior.
+  /// plurality-vote posterior. Each E-step is PredictProbaFlat's kernel over
+  /// that iteration's log-tables, so training and serving share one E-step.
   Status Fit(const LabelMatrix& matrix);
 
   /// Restores a fitted model from serialized parameters (the snapshot-store
@@ -75,7 +77,8 @@ class DawidSkeneModel {
   /// serialization layout Restore() accepts.
   std::vector<double> FlatConfusions() const;
 
-  /// Hard MAP labels (in the matrix's label convention).
+  /// Hard MAP labels (in the matrix's label convention): the argmax of
+  /// PredictProbaFlat, ties to the lowest class index.
   std::vector<Label> PredictLabels(const LabelMatrix& matrix) const;
 
   /// Confusion matrix of LF j, rows = true class, cols = emitted class.
@@ -100,7 +103,7 @@ class DawidSkeneModel {
   /// Precomputes the log-space tables PredictProbaFlat streams over:
   /// log_priors_ and the confusion log-table transposed to
   /// [j][emitted][class] so the E-step kernel adds contiguous k-vectors.
-  /// Called at the end of Fit() and Restore().
+  /// Called after every M-step of Fit() and by Restore().
   void BuildLogTables();
 
   DawidSkeneOptions options_;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/majority_vote.h"
 #include "eval/metrics.h"
 #include "synth/synthetic_matrix.h"
+#include "util/math_util.h"
 #include "util/random.h"
 
 namespace snorkel {
@@ -199,6 +203,155 @@ TEST(DawidSkeneTest, FlatPosteriorsMatchNestedAndAnyThreadCount) {
                     .ok());
     EXPECT_EQ(threaded.PredictProbaFlat(crowd.matrix), flat)
         << "thread count " << threads << " drifted";
+  }
+}
+
+/// The textbook EM loop, written independently of the model: nested
+/// posteriors, a std::log per vote and class, SoftmaxInPlace. On at most
+/// 2048 rows the model's M-step is one shard, so summing into a zeroed
+/// accumulator and then adding it to the smoothing reproduces its order.
+struct ReferenceEm {
+  std::vector<double> priors;
+  std::vector<std::vector<std::vector<double>>> conf;  // [j][c][e]
+  int iterations = 0;
+};
+
+size_t RefClass(Label y, int k) {
+  if (k == 2) return y > 0 ? 0 : 1;
+  return static_cast<size_t>(y) - 1;
+}
+
+std::vector<std::vector<double>> RefPosteriors(const LabelMatrix& matrix,
+                                               const ReferenceEm& em) {
+  size_t k = em.priors.size();
+  std::vector<std::vector<double>> post(matrix.num_rows());
+  for (size_t i = 0; i < matrix.num_rows(); ++i) {
+    std::vector<double> log_post(k);
+    for (size_t c = 0; c < k; ++c) log_post[c] = std::log(em.priors[c]);
+    for (const auto& e : matrix.row(i)) {
+      size_t emitted = RefClass(e.label, matrix.cardinality());
+      for (size_t c = 0; c < k; ++c) {
+        log_post[c] += std::log(em.conf[e.lf][c][emitted]);
+      }
+    }
+    SoftmaxInPlace(&log_post);
+    post[i] = std::move(log_post);
+  }
+  return post;
+}
+
+ReferenceEm FitReferenceEm(const LabelMatrix& matrix,
+                           const DawidSkeneOptions& options) {
+  size_t k = static_cast<size_t>(matrix.cardinality());
+  size_t m = matrix.num_rows();
+  size_t n = matrix.num_lfs();
+  double s = options.smoothing;
+  std::vector<std::vector<double>> post(m, std::vector<double>(k, s + 1e-3));
+  for (size_t i = 0; i < m; ++i) {
+    for (const auto& e : matrix.row(i)) {
+      post[i][RefClass(e.label, matrix.cardinality())] += 1.0;
+    }
+    double z = 0.0;
+    for (double p : post[i]) z += p;
+    for (double& p : post[i]) p /= z;
+  }
+  ReferenceEm em;
+  em.priors.assign(k, 1.0 / static_cast<double>(k));
+  for (int iter = 0; iter < options.max_iters; ++iter) {
+    ++em.iterations;
+    std::vector<double> prior_acc(k, 0.0);
+    std::vector<std::vector<std::vector<double>>> conf_acc(
+        n, std::vector<std::vector<double>>(k, std::vector<double>(k, 0.0)));
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t c = 0; c < k; ++c) prior_acc[c] += post[i][c];
+      for (const auto& e : matrix.row(i)) {
+        size_t emitted = RefClass(e.label, matrix.cardinality());
+        for (size_t c = 0; c < k; ++c) conf_acc[e.lf][c][emitted] += post[i][c];
+      }
+    }
+    if (options.estimate_class_balance) {
+      double z = 0.0;
+      for (double& p : prior_acc) z += (p += s);
+      for (size_t c = 0; c < k; ++c) em.priors[c] = prior_acc[c] / z;
+    }
+    em.conf = std::move(conf_acc);
+    for (auto& lf : em.conf) {
+      for (auto& row : lf) {
+        double z = 0.0;
+        for (double& v : row) z += (v += s);
+        for (double& v : row) v /= z;
+      }
+    }
+    std::vector<std::vector<double>> next = RefPosteriors(matrix, em);
+    double max_change = 0.0;
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t c = 0; c < k; ++c) {
+        max_change = std::max(max_change, std::fabs(next[i][c] - post[i][c]));
+      }
+    }
+    post = std::move(next);
+    if (max_change < options.tol) break;
+  }
+  return em;
+}
+
+void ExpectMatchesReference(const LabelMatrix& matrix,
+                            DawidSkeneOptions options) {
+  ASSERT_LE(matrix.num_rows(), 2048u);
+  ReferenceEm ref = FitReferenceEm(matrix, options);
+  std::vector<double> ref_conf;
+  for (const auto& lf : ref.conf) {
+    for (const auto& row : lf) {
+      ref_conf.insert(ref_conf.end(), row.begin(), row.end());
+    }
+  }
+  std::vector<double> ref_post;
+  for (const auto& row : RefPosteriors(matrix, ref)) {
+    ref_post.insert(ref_post.end(), row.begin(), row.end());
+  }
+  for (int threads : {1, 2, 8}) {
+    options.num_threads = threads;
+    DawidSkeneModel model(options);
+    ASSERT_TRUE(model.Fit(matrix).ok());
+    EXPECT_EQ(model.iterations(), ref.iterations) << threads << " threads";
+    EXPECT_EQ(model.FlatConfusions(), ref_conf) << threads << " threads";
+    EXPECT_EQ(model.class_priors(), ref.priors) << threads << " threads";
+    EXPECT_EQ(model.PredictProbaFlat(matrix), ref_post)
+        << threads << " threads";
+  }
+}
+
+TEST(DawidSkeneTest, FitMatchesReferenceEmBitwise) {
+  {
+    SCOPED_TRACE("binary, imbalanced, default tol");
+    Rng rng(41);
+    const std::vector<double> accs = {0.95, 0.9, 0.9, 0.85, 0.8, 0.85};
+    std::vector<std::vector<Label>> dense;
+    for (int i = 0; i < 1800; ++i) {
+      Label y = rng.Bernoulli(0.75) ? 1 : -1;
+      std::vector<Label> row(accs.size(), kAbstain);
+      for (size_t j = 0; j < accs.size(); ++j) {
+        if (!rng.Bernoulli(0.9)) continue;
+        row[j] = rng.Bernoulli(accs[j]) ? y : static_cast<Label>(-y);
+      }
+      dense.push_back(std::move(row));
+    }
+    auto m = LabelMatrix::FromDense(dense);
+    ASSERT_TRUE(m.ok());
+    DawidSkeneOptions options;
+    ReferenceEm probe = FitReferenceEm(*m, options);
+    ASSERT_LT(probe.iterations, options.max_iters) << "must stop early";
+    ExpectMatchesReference(*m, options);
+  }
+  {
+    SCOPED_TRACE("K = 5 crowd, tol = 0");
+    std::vector<double> accs;
+    for (int j = 0; j < 40; ++j) accs.push_back(0.35 + 0.01 * j);
+    CrowdData crowd = MakeCrowd(2048, accs, 5, 0.4, 42);
+    DawidSkeneOptions options;
+    options.max_iters = 20;
+    options.tol = 0.0;
+    ExpectMatchesReference(crowd.matrix, options);
   }
 }
 
