@@ -680,11 +680,13 @@ int main(int argc, char** argv) {
   // engine vs per-row interpreted lambdas, same LF set, same candidates,
   // serial apply so the ratio isolates the engine. Output is bitwise
   // identical (pinned by tests/lf_compiled_test.cc); this measures only the
-  // speed side of that contract. Best-of after a discarded warmup. ----
+  // speed side of that contract. Every trial scans the corpus afresh
+  // (scans live in the request); the discarded first trial only fills the
+  // stem cache and this thread's token memo. ----
   auto lf_program = CompileLfSet(task->lfs);
   double compiled_cps = 0.0;
   double interpreted_cps = 0.0;
-  constexpr int kLfTrials = 4;  // Trial 0 is a discarded warmup.
+  constexpr int kLfTrials = 4;  // Trial 0 is discarded.
   for (int trial = 0; trial < kLfTrials; ++trial) {
     for (bool use_compiled : {true, false}) {
       LFApplier lf_applier({.num_threads = 1,
@@ -697,7 +699,7 @@ int main(int argc, char** argv) {
       }
       double cps = static_cast<double>(task->candidates.size()) /
                    lf_timer.ElapsedSeconds();
-      if (trial == 0) continue;  // Warmup.
+      if (trial == 0) continue;
       double& slot = use_compiled ? compiled_cps : interpreted_cps;
       slot = std::max(slot, cps);
     }

@@ -1,11 +1,12 @@
 #include "lf/compiled/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
+#include <array>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "text/stemmer.h"
 #include "util/string_util.h"
 
@@ -17,184 +18,191 @@ uint64_t PackInterval(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
 
-size_t ScanBytes(const LfSentenceScan& scan) {
-  return sizeof(LfSentenceScan) +
-         scan.hit_offsets.capacity() * sizeof(uint32_t) +
-         scan.hits.capacity() * sizeof(uint64_t) +
-         scan.any_bits.capacity() * sizeof(uint64_t) + 64;
+/// Sentences scanned by every batch in the process.
+obs::Counter& SentencesScanned() {
+  static auto* counter = new std::shared_ptr<obs::Counter>(
+      obs::MetricsRegistry::Default().CreateCounter(
+          "snorkel_lf_sentences_scanned_total"));
+  return **counter;
 }
 
-/// Process-wide scan cache: (program, corpus identity) -> per-sentence
-/// automaton scans and per-doc any-hit bitsets. Entries pin their program
-/// (so a program address can never be reused while its scans are cached)
-/// and key corpora by Corpus::identity() (fresh per object and bumped on
-/// mutation, so a cached scan can never describe stale or aliased text).
-/// Whole (program, corpus) entries are evicted LRU once the byte budget is
-/// exceeded; in-flight batches keep shared_ptrs to the scans they use, so
-/// eviction never invalidates a running request.
-constexpr size_t kScanCacheBudgetBytes = 64u << 20;
+/// Symbols of one raw token under one program.
+struct TokenSymbols {
+  uint32_t lower_encoded = CompiledLfProgram::kNoSymbol;
+  uint32_t stem_encoded = CompiledLfProgram::kNoSymbol;
+};
+using TokenTable = std::unordered_map<std::string, TokenSymbols>;
 
-struct ScanCacheEntry {
-  std::shared_ptr<const CompiledLfProgram> program;  // pin
-  std::mutex mu;
-  // (doc << 32) | sentence -> scan; guarded by mu.
-  std::unordered_map<uint64_t, std::shared_ptr<const LfSentenceScan>> scans;
-  // doc -> OR of that doc's any_bits blocks; guarded by mu.
-  std::unordered_map<uint32_t,
-                     std::shared_ptr<const std::vector<uint64_t>>> doc_bits;
-  size_t bytes = 0;      // guarded by mu
-  bool evicted = false;  // guarded by mu; stops byte accounting after evict
-  uint64_t tick = 0;     // guarded by the cache-wide mutex
+constexpr size_t kMemoPrograms = 4;
+constexpr size_t kMemoEntries = size_t{1} << 14;
+
+/// This thread's raw token -> symbols memo for one program, persisting
+/// across batches. Keyed by CompiledLfProgram::id(), which is never reused,
+/// so a program allocated at a freed one's address starts empty. Holds the
+/// tables of the kMemoPrograms most recently used programs; a table is
+/// cleared when it reaches kMemoEntries tokens.
+TokenTable& ThreadTokenTable(uint64_t program_id) {
+  struct Slot {
+    uint64_t program_id = 0;  // 0: unused (ids start at 1)
+    uint64_t last_use = 0;
+    TokenTable table;
+  };
+  thread_local std::array<Slot, kMemoPrograms> slots;
+  thread_local uint64_t clock = 0;
+  Slot* victim = &slots[0];
+  for (Slot& slot : slots) {
+    if (slot.program_id == program_id) {
+      slot.last_use = ++clock;
+      return slot.table;
+    }
+    if (slot.last_use < victim->last_use) victim = &slot;
+  }
+  victim->program_id = program_id;
+  victim->last_use = ++clock;
+  victim->table.clear();
+  return victim->table;
+}
+
+TokenSymbols ResolveToken(const CompiledLfProgram& p, TokenTable* table,
+                          const std::string& word) {
+  auto it = table->find(word);
+  if (it != table->end()) return it->second;
+  TokenSymbols resolved;
+  std::string lower = ToLower(word);
+  uint32_t lower_id = p.LookupSymbol(lower);
+  if (lower_id != CompiledLfProgram::kNoSymbol) {
+    resolved.lower_encoded = lower_id << 1;
+  }
+  if (p.needs_stem_pass) {
+    uint32_t stem_id = p.LookupSymbol(Stemmer::StemCached(lower));
+    if (stem_id != CompiledLfProgram::kNoSymbol) {
+      resolved.stem_encoded = (stem_id << 1) | 1u;
+    }
+  }
+  if (table->size() >= kMemoEntries) table->clear();
+  table->emplace(word, resolved);
+  return resolved;
+}
+
+/// Buffers reused by every sentence scan of one batch.
+struct ScanScratch {
+  std::vector<std::pair<uint32_t, uint64_t>> raw;  // (slot, packed interval)
+  std::vector<uint32_t> lower;  // per token: encoded symbol or kNoSymbol
+  std::vector<uint32_t> stem;
+  std::vector<size_t> byte_starts;
 };
 
-class ScanCache {
- public:
-  static ScanCache& Instance() {
-    static ScanCache* cache = new ScanCache();
-    return *cache;
-  }
-
-  std::shared_ptr<ScanCacheEntry> GetEntry(
-      uint64_t corpus_identity,
-      const std::shared_ptr<const CompiledLfProgram>& program) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] =
-        entries_.try_emplace(Key{corpus_identity, program.get()});
-    if (inserted) {
-      it->second = std::make_shared<ScanCacheEntry>();
-      it->second->program = program;
-    }
-    it->second->tick = ++tick_;
-    return it->second;
-  }
-
-  /// Accounts freshly inserted scan bytes; evicts LRU entries over budget.
-  /// Call with no entry mutex held.
-  void Credit(size_t delta) {
-    if (total_bytes_.fetch_add(delta, std::memory_order_relaxed) + delta <=
-        kScanCacheBudgetBytes) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    while (total_bytes_.load(std::memory_order_relaxed) >
-               kScanCacheBudgetBytes &&
-           entries_.size() > 1) {
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second->tick < victim->second->tick) victim = it;
-      }
-      size_t freed;
-      {
-        std::lock_guard<std::mutex> entry_lock(victim->second->mu);
-        freed = victim->second->bytes;
-        victim->second->evicted = true;
-      }
-      total_bytes_.fetch_sub(freed, std::memory_order_relaxed);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      entries_.erase(victim);
-    }
-  }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-    total_bytes_.store(0, std::memory_order_relaxed);
-  }
-
-  CompiledScanCacheStats Stats() {
-    CompiledScanCacheStats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
-    stats.evictions = evictions_.load(std::memory_order_relaxed);
-    stats.bytes = total_bytes_.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    stats.entries = entries_.size();
-    return stats;
-  }
-
-  void CountHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
-  void CountMiss() { misses_.fetch_add(1, std::memory_order_relaxed); }
-
- private:
-  struct Key {
-    uint64_t corpus_identity;
-    const CompiledLfProgram* program;
-    bool operator==(const Key& other) const {
-      return corpus_identity == other.corpus_identity &&
-             program == other.program;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      uint64_t h = key.corpus_identity * 0x9e3779b97f4a7c15ull;
-      h ^= reinterpret_cast<uintptr_t>(key.program) + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
+/// Runs one sentence through the program's automata: its hits land in
+/// scratch->raw, unordered, and its any-hit bits are ORed into `any`.
+/// `tokens` may be null when the program has no token patterns.
+void ScanSentence(const CompiledLfProgram& p, TokenTable* tokens,
+                  const Sentence& sentence, ScanScratch* scratch,
+                  uint64_t* any) {
+  std::vector<std::pair<uint32_t, uint64_t>>& raw = scratch->raw;
+  raw.clear();
+  size_t num_words = sentence.words.size();
+  auto record = [&](uint32_t slot, uint32_t a, uint32_t b) {
+    raw.emplace_back(slot, PackInterval(a, b));
+    any[slot >> 6] |= 1ull << (slot & 63);
   };
 
-  std::mutex mu_;
-  std::unordered_map<Key, std::shared_ptr<ScanCacheEntry>, KeyHash> entries_;
-  uint64_t tick_ = 0;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<size_t> total_bytes_{0};
-};
+  if (!p.token_pattern_slots.empty() && num_words > 0) {
+    // Resolve each raw token to its (lower, stem) symbols through this
+    // thread's memo; the walks below then touch only u32 ids.
+    scratch->lower.resize(num_words);
+    scratch->stem.resize(num_words);
+    for (size_t t = 0; t < num_words; ++t) {
+      TokenSymbols symbols = ResolveToken(p, tokens, sentence.words[t]);
+      scratch->lower[t] = symbols.lower_encoded;
+      scratch->stem[t] = symbols.stem_encoded;
+    }
+
+    auto walk = [&](const std::vector<uint32_t>& symbols) {
+      uint32_t state = 0;
+      for (size_t t = 0; t < num_words; ++t) {
+        if (symbols[t] == CompiledLfProgram::kNoSymbol) {
+          state = 0;  // Unknown symbol: no edge anywhere; reset to root.
+          continue;
+        }
+        state = p.token_ac.Next(state, symbols[t]);
+        for (uint32_t o = p.token_ac.out_offsets[state];
+             o < p.token_ac.out_offsets[state + 1]; ++o) {
+          uint32_t pattern = p.token_ac.out_patterns[o];
+          // Token patterns are single symbols, so the hit covers [t, t].
+          record(p.token_pattern_slots[pattern], static_cast<uint32_t>(t),
+                 static_cast<uint32_t>(t));
+        }
+      }
+    };
+    if (p.needs_lower_pass) walk(scratch->lower);
+    if (p.needs_stem_pass) walk(scratch->stem);
+  }
+
+  if (!p.byte_pattern_slots.empty() && num_words > 0) {
+    // Byte positions in the space-joined lowercased sentence; token t's
+    // first byte is byte_starts[t], and the separator before it (t > 0) is
+    // byte_starts[t] - 1. Strictly increasing, so interval mapping is a
+    // binary search.
+    std::vector<size_t>& byte_starts = scratch->byte_starts;
+    byte_starts.resize(num_words);
+    size_t total = 0;
+    for (size_t t = 0; t < num_words; ++t) {
+      byte_starts[t] = total + (t > 0 ? 1 : 0);
+      total = byte_starts[t] + sentence.words[t].size();
+    }
+
+    const FlatAutomaton& ac = p.byte_ac;
+    const uint32_t* out = ac.out_offsets.data();
+    uint32_t state = 0;
+    size_t pos = 0;
+    auto feed = [&](unsigned char c, uint32_t end_token) {
+      state = ac.Next(state, c);
+      for (uint32_t o = out[state]; o < out[state + 1]; ++o) {
+        uint32_t pattern = ac.out_patterns[o];
+        size_t start_byte = pos + 1 - p.byte_pattern_lengths[pattern];
+        // Token whose range (own bytes plus trailing separator) holds the
+        // start byte: a match starting on the separator between u and u+1
+        // maps to u, so containment a >= lo keeps separator-led matches
+        // that begin inside the between text and drops the one just before
+        // it.
+        uint32_t a = static_cast<uint32_t>(
+            std::upper_bound(byte_starts.begin(), byte_starts.end(),
+                             start_byte) -
+            byte_starts.begin() - 1);
+        record(p.byte_pattern_slots[pattern], a, end_token);
+      }
+      ++pos;
+    };
+    for (size_t t = 0; t < num_words; ++t) {
+      if (t > 0) feed(' ', static_cast<uint32_t>(t));
+      for (char c : sentence.words[t]) {
+        feed(c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c,
+             static_cast<uint32_t>(t));
+      }
+    }
+  }
+}
 
 }  // namespace
 
 CompiledScanCacheStats GetCompiledScanCacheStats() {
-  return ScanCache::Instance().Stats();
+  CompiledScanCacheStats stats;
+  stats.misses = SentencesScanned().value();
+  return stats;
 }
-
-void ClearCompiledScanCache() { ScanCache::Instance().Clear(); }
 
 CompiledLfBatch::CompiledLfBatch(
     std::shared_ptr<const CompiledLfProgram> program, const Corpus& corpus,
     const std::vector<const Candidate*>& rows, size_t begin)
     : program_(std::move(program)) {
   const CompiledLfProgram& p = *program_;
-  slot_words_ = (p.entries.size() + 63) / 64;
+  const size_t num_slots = p.entries.size();
+  slot_words_ = (num_slots + 63) / 64;
   rows_.resize(rows.size());
-  TokenMemo memo;
-  ScanCache& cache = ScanCache::Instance();
-  std::shared_ptr<ScanCacheEntry> entry =
-      cache.GetEntry(corpus.identity(), program_);
-  std::unordered_map<uint64_t, uint32_t> scan_index;  // (doc, sent) -> scan
 
-  // Cached-or-scanned lookup for one sentence. Misses scan outside the
-  // entry lock (two threads may race to scan the same sentence; the scan is
-  // deterministic, so the first insert wins and both results are
-  // bit-identical).
-  auto get_scan =
-      [&](uint64_t key,
-          const Sentence& sentence) -> std::shared_ptr<const LfSentenceScan> {
-    {
-      std::lock_guard<std::mutex> lock(entry->mu);
-      auto it = entry->scans.find(key);
-      if (it != entry->scans.end()) {
-        cache.CountHit();
-        return it->second;
-      }
-    }
-    cache.CountMiss();
-    auto scan = std::make_shared<LfSentenceScan>();
-    ScanSentence(sentence, &memo, scan.get());
-    size_t delta = 0;
-    std::shared_ptr<const LfSentenceScan> out;
-    {
-      std::lock_guard<std::mutex> lock(entry->mu);
-      auto [it, inserted] = entry->scans.try_emplace(key, std::move(scan));
-      out = it->second;
-      if (inserted && !entry->evicted) {
-        delta = ScanBytes(*out);
-        entry->bytes += delta;
-      }
-    }
-    if (delta > 0) cache.Credit(delta);
-    return out;
-  };
-
+  // Distinct (doc, sentence) keys of the rows, numbered in first-use order.
+  std::unordered_map<uint64_t, uint32_t> scan_index;
+  std::vector<const Sentence*> sentences;
   for (size_t i = begin; i < rows.size(); ++i) {
     const Candidate& c = *rows[i];
     uint64_t key =
@@ -202,8 +210,8 @@ CompiledLfBatch::CompiledLfBatch(
     const Sentence& sentence =
         corpus.document(c.span1.doc).sentences[c.span1.sentence];
     auto [it, inserted] =
-        scan_index.try_emplace(key, static_cast<uint32_t>(scans_.size()));
-    if (inserted) scans_.push_back(get_scan(key, sentence));
+        scan_index.try_emplace(key, static_cast<uint32_t>(sentences.size()));
+    if (inserted) sentences.push_back(&sentence);
 
     RowCtx& ctx = rows_[i];
     ctx.scan = it->second;
@@ -226,178 +234,64 @@ CompiledLfBatch::CompiledLfBatch(
     }
   }
 
+  TokenTable* tokens = p.token_pattern_slots.empty()
+                           ? nullptr
+                           : &ThreadTokenTable(p.id());
+  ScanScratch scratch;
+  any_bits_.assign(sentences.size() * slot_words_, 0);
+  hit_offsets_.reserve(sentences.size() * (num_slots + 1));
+  for (size_t k = 0; k < sentences.size(); ++k) {
+    ScanSentence(p, tokens, *sentences[k], &scratch,
+                 any_bits_.data() + k * slot_words_);
+    // (slot, packed) order groups hits by slot, each slot's ordered by
+    // (a, b) so containment checks can binary-search on a.
+    std::sort(scratch.raw.begin(), scratch.raw.end());
+    size_t r = 0;
+    for (uint32_t slot = 0; slot <= num_slots; ++slot) {
+      while (r < scratch.raw.size() && scratch.raw[r].first < slot) ++r;
+      hit_offsets_.push_back(static_cast<uint32_t>(hits_.size() + r));
+    }
+    for (const auto& [slot, packed] : scratch.raw) hits_.push_back(packed);
+  }
+  uint64_t scanned = sentences.size();
+
   if (p.has_doc_scope) {
-    std::unordered_map<uint32_t, int32_t> doc_blocks;  // doc -> doc_bits_ idx
+    std::unordered_map<uint32_t, int32_t> doc_blocks;  // doc -> block index
     for (size_t i = begin; i < rows.size(); ++i) {
       uint32_t doc_id = rows[i]->span1.doc;
       auto [it, inserted] = doc_blocks.try_emplace(
-          doc_id, static_cast<int32_t>(doc_bits_.size()));
-      if (inserted) {
-        std::shared_ptr<const std::vector<uint64_t>> block;
-        {
-          std::lock_guard<std::mutex> lock(entry->mu);
-          auto bit = entry->doc_bits.find(doc_id);
-          if (bit != entry->doc_bits.end()) block = bit->second;
-        }
-        if (block == nullptr) {
-          // OR the any-match bits of every sentence in the document (also
-          // sentences holding no candidate of this batch).
-          auto bits = std::make_shared<std::vector<uint64_t>>(slot_words_, 0);
-          const Document& doc = corpus.document(doc_id);
-          for (size_t s = 0; s < doc.sentences.size(); ++s) {
-            uint64_t key = (static_cast<uint64_t>(doc_id) << 32) | s;
-            std::shared_ptr<const LfSentenceScan> scan =
-                get_scan(key, doc.sentences[s]);
-            for (size_t w = 0; w < slot_words_; ++w) {
-              (*bits)[w] |= scan->any_bits[w];
-            }
-          }
-          size_t delta = 0;
-          {
-            std::lock_guard<std::mutex> lock(entry->mu);
-            auto [bit, added] =
-                entry->doc_bits.try_emplace(doc_id, std::move(bits));
-            block = bit->second;
-            if (added && !entry->evicted) {
-              delta = block->capacity() * sizeof(uint64_t) + 64;
-              entry->bytes += delta;
-            }
-          }
-          if (delta > 0) cache.Credit(delta);
-        }
-        doc_bits_.push_back(std::move(block));
-      }
+          doc_id, static_cast<int32_t>(doc_blocks.size()));
       rows_[i].doc_index = it->second;
-    }
-  }
-}
-
-void CompiledLfBatch::ScanSentence(const Sentence& sentence, TokenMemo* memo,
-                                   LfSentenceScan* scan) const {
-  const CompiledLfProgram& p = *program_;
-  size_t num_slots = p.entries.size();
-  scan->any_bits.assign(slot_words_, 0);
-  size_t num_words = sentence.words.size();
-  std::vector<std::pair<uint32_t, uint64_t>> raw;  // (slot, packed interval)
-
-  auto record = [&](uint32_t slot, uint32_t a, uint32_t b) {
-    raw.emplace_back(slot, PackInterval(a, b));
-    scan->any_bits[slot >> 6] |= 1ull << (slot & 63);
-  };
-
-  if (!p.token_pattern_slots.empty() && num_words > 0) {
-    // Resolve each distinct raw token to its (lower, stem) symbols once per
-    // batch; the walks below then touch only u32 ids.
-    std::vector<const TokenSymbols*> symbols(num_words);
-    for (size_t t = 0; t < num_words; ++t) {
-      const std::string& word = sentence.words[t];
-      auto it = memo->find(word);
-      if (it == memo->end()) {
-        TokenSymbols resolved;
-        std::string lower = ToLower(word);
-        uint32_t lower_id = p.LookupSymbol(lower);
-        if (lower_id != CompiledLfProgram::kNoSymbol) {
-          resolved.lower_encoded = lower_id << 1;
-        }
-        if (p.needs_stem_pass) {
-          uint32_t stem_id = p.LookupSymbol(Stemmer::StemCached(lower));
-          if (stem_id != CompiledLfProgram::kNoSymbol) {
-            resolved.stem_encoded = (stem_id << 1) | 1u;
-          }
-        }
-        it = memo->emplace(std::string_view(word), resolved).first;
-      }
-      symbols[t] = &it->second;
-    }
-
-    auto walk = [&](bool stem_domain) {
-      uint32_t state = 0;
-      for (size_t t = 0; t < num_words; ++t) {
-        uint32_t symbol = stem_domain ? symbols[t]->stem_encoded
-                                      : symbols[t]->lower_encoded;
-        if (symbol == CompiledLfProgram::kNoSymbol) {
-          state = 0;  // Unknown symbol: no edge anywhere; reset to root.
+      if (!inserted) continue;
+      // OR the any-hit bits of every sentence in the document: the batch's
+      // own scans, plus one scan of each sentence holding none of its rows.
+      doc_bits_.resize(doc_bits_.size() + slot_words_, 0);
+      uint64_t* bits = doc_bits_.data() + doc_bits_.size() - slot_words_;
+      const Document& doc = corpus.document(doc_id);
+      for (size_t s = 0; s < doc.sentences.size(); ++s) {
+        uint64_t key = (static_cast<uint64_t>(doc_id) << 32) | s;
+        auto scan = scan_index.find(key);
+        if (scan == scan_index.end()) {
+          ScanSentence(p, tokens, doc.sentences[s], &scratch, bits);
+          ++scanned;
           continue;
         }
-        state = p.token_ac.Step(state, symbol);
-        for (uint32_t o = p.token_ac.out_offsets[state];
-             o < p.token_ac.out_offsets[state + 1]; ++o) {
-          uint32_t pattern = p.token_ac.out_patterns[o];
-          // Token patterns are single symbols, so the hit covers [t, t].
-          record(p.token_pattern_slots[pattern], static_cast<uint32_t>(t),
-                 static_cast<uint32_t>(t));
-        }
-      }
-    };
-    if (p.needs_lower_pass) walk(/*stem_domain=*/false);
-    if (p.needs_stem_pass) walk(/*stem_domain=*/true);
-  }
-
-  if (!p.byte_pattern_slots.empty() && num_words > 0) {
-    // Byte positions in the space-joined lowercased sentence; token t's
-    // first byte is byte_starts[t], and the separator before it (t > 0) is
-    // byte_starts[t] - 1. Strictly increasing, so interval mapping is a
-    // binary search.
-    std::vector<size_t> byte_starts(num_words);
-    size_t total = 0;
-    for (size_t t = 0; t < num_words; ++t) {
-      byte_starts[t] = total + (t > 0 ? 1 : 0);
-      total = byte_starts[t] + sentence.words[t].size();
-    }
-
-    uint32_t state = 0;
-    size_t pos = 0;
-    auto feed = [&](char c, uint32_t end_token) {
-      state = p.byte_ac.Step(state, static_cast<unsigned char>(c));
-      for (uint32_t o = p.byte_ac.out_offsets[state];
-           o < p.byte_ac.out_offsets[state + 1]; ++o) {
-        uint32_t pattern = p.byte_ac.out_patterns[o];
-        size_t start_byte = pos + 1 - p.byte_pattern_lengths[pattern];
-        // Token whose range (own bytes plus trailing separator) holds the
-        // start byte: a match starting on the separator between u and u+1
-        // maps to u, so containment a >= lo keeps separator-led matches
-        // that begin inside the between text and drops the one just before
-        // it.
-        uint32_t a = static_cast<uint32_t>(
-            std::upper_bound(byte_starts.begin(), byte_starts.end(),
-                             start_byte) -
-            byte_starts.begin() - 1);
-        record(p.byte_pattern_slots[pattern], a, end_token);
-      }
-      ++pos;
-    };
-    for (size_t t = 0; t < num_words; ++t) {
-      if (t > 0) feed(' ', static_cast<uint32_t>(t));
-      for (char c : sentence.words[t]) {
-        feed(c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c,
-             static_cast<uint32_t>(t));
+        const uint64_t* own = any_bits_.data() + scan->second * slot_words_;
+        for (size_t w = 0; w < slot_words_; ++w) bits[w] |= own[w];
       }
     }
   }
-
-  // Group hits by slot (counting sort), then order each slot's hits by
-  // (a, b) so containment checks can binary-search on a.
-  scan->hit_offsets.assign(num_slots + 1, 0);
-  for (const auto& [slot, packed] : raw) scan->hit_offsets[slot + 1]++;
-  for (size_t s = 0; s < num_slots; ++s) {
-    scan->hit_offsets[s + 1] += scan->hit_offsets[s];
-  }
-  scan->hits.resize(raw.size());
-  std::vector<uint32_t> cursor(scan->hit_offsets.begin(),
-                               scan->hit_offsets.end() - 1);
-  for (const auto& [slot, packed] : raw) scan->hits[cursor[slot]++] = packed;
-  for (size_t s = 0; s < num_slots; ++s) {
-    std::sort(scan->hits.begin() + scan->hit_offsets[s],
-              scan->hits.begin() + scan->hit_offsets[s + 1]);
-  }
+  SentencesScanned().Increment(scanned);
 }
 
-bool CompiledLfBatch::HasHitIn(const LfSentenceScan& scan, uint32_t slot,
-                               uint32_t lo, uint32_t hi) const {
+bool CompiledLfBatch::HasHitIn(uint32_t scan, uint32_t slot, uint32_t lo,
+                               uint32_t hi) const {
   if (lo >= hi) return false;
-  auto begin = scan.hits.begin() + scan.hit_offsets[slot];
-  auto end = scan.hits.begin() + scan.hit_offsets[slot + 1];
-  for (auto it = std::lower_bound(begin, end, PackInterval(lo, 0));
+  const uint32_t* offsets =
+      hit_offsets_.data() + size_t{scan} * (program_->entries.size() + 1);
+  const uint64_t* begin = hits_.data() + offsets[slot];
+  const uint64_t* end = hits_.data() + offsets[slot + 1];
+  for (const uint64_t* it = std::lower_bound(begin, end, PackInterval(lo, 0));
        it != end; ++it) {
     uint32_t a = static_cast<uint32_t>(*it >> 32);
     if (a >= hi) break;
@@ -410,39 +304,39 @@ bool CompiledLfBatch::HasHitIn(const LfSentenceScan& scan, uint32_t slot,
 Label CompiledLfBatch::Eval(uint32_t slot, size_t i) const {
   const CompiledLfEntry& e = program_->entries[slot];
   const RowCtx& ctx = rows_[i];
-  const LfSentenceScan& scan = *scans_[ctx.scan];
   switch (e.kind) {
     case LfSpecKind::kKeywordBetween: {
       uint32_t hi = std::min(ctx.second_start, ctx.sent_size);
-      return HasHitIn(scan, slot, ctx.first_end, hi) ? e.label : kAbstain;
+      return HasHitIn(ctx.scan, slot, ctx.first_end, hi) ? e.label : kAbstain;
     }
     case LfSpecKind::kDirectionalKeyword: {
       uint32_t hi = std::min(ctx.second_start, ctx.sent_size);
-      if (!HasHitIn(scan, slot, ctx.first_end, hi)) return kAbstain;
+      if (!HasHitIn(ctx.scan, slot, ctx.first_end, hi)) return kAbstain;
       return ctx.span1_first ? e.label : e.label_reverse;
     }
     case LfSpecKind::kContextKeyword: {
       uint32_t left_lo =
           ctx.first_start >= e.window ? ctx.first_start - e.window : 0;
-      if (HasHitIn(scan, slot, left_lo, ctx.first_start)) return e.label;
+      if (HasHitIn(ctx.scan, slot, left_lo, ctx.first_start)) return e.label;
       uint32_t right_hi = static_cast<uint32_t>(
           std::min<uint64_t>(static_cast<uint64_t>(ctx.second_end) + e.window,
                              ctx.sent_size));
-      return HasHitIn(scan, slot, ctx.second_end, right_hi) ? e.label
-                                                            : kAbstain;
+      return HasHitIn(ctx.scan, slot, ctx.second_end, right_hi) ? e.label
+                                                                : kAbstain;
     }
-    case LfSpecKind::kSentenceKeyword:
-      return (scan.any_bits[slot >> 6] >> (slot & 63)) & 1 ? e.label
-                                                           : kAbstain;
+    case LfSpecKind::kSentenceKeyword: {
+      uint64_t word = any_bits_[ctx.scan * slot_words_ + (slot >> 6)];
+      return (word >> (slot & 63)) & 1 ? e.label : kAbstain;
+    }
     case LfSpecKind::kDocumentKeyword: {
       if (ctx.doc_index < 0) return kAbstain;
-      uint64_t word = (*doc_bits_[ctx.doc_index])[slot >> 6];
+      uint64_t word = doc_bits_[ctx.doc_index * slot_words_ + (slot >> 6)];
       return (word >> (slot & 63)) & 1 ? e.label : kAbstain;
     }
     case LfSpecKind::kRegexBetween: {
       if (ctx.between_f == kNoToken) return kAbstain;
       uint32_t hi = std::min(ctx.second_start, ctx.sent_size);
-      return HasHitIn(scan, slot, ctx.between_f, hi) ? e.label : kAbstain;
+      return HasHitIn(ctx.scan, slot, ctx.between_f, hi) ? e.label : kAbstain;
     }
     case LfSpecKind::kDistance: {
       uint64_t distance = ctx.second_start <= ctx.first_end

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
@@ -14,45 +12,30 @@
 
 namespace snorkel {
 
-/// Automaton scan results for one sentence under one program. Immutable
-/// once built; shared between concurrent batches through the process-wide
-/// scan cache (see below).
-struct LfSentenceScan {
-  /// Hits grouped by slot: slot s owns hits[hit_offsets[s] ..
-  /// hit_offsets[s+1]), each packed (a << 32) | b — the half-open token
-  /// interval [a, b] the match covers — sorted ascending (by a, then b).
-  std::vector<uint32_t> hit_offsets;
-  std::vector<uint64_t> hits;
-  /// Per-slot "any hit in this sentence" bitset (sentence scope).
-  std::vector<uint64_t> any_bits;
-};
-
-/// Counters for the process-wide compiled-scan cache. `hits`/`misses` count
-/// sentence-level lookups; `bytes`/`entries` describe current residency.
+/// A typed read of the compiled engine's scan counter. Scans live in the
+/// request (see CompiledLfBatch), so there is no cache: `misses` counts
+/// sentences scanned (the registry's `snorkel_lf_sentences_scanned_total`),
+/// and `hits` and `evictions` always read 0. Kept only for the benchmark
+/// program's reads; ROADMAP item 7 removes it.
 struct CompiledScanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  size_t bytes = 0;
-  size_t entries = 0;
 };
 
 CompiledScanCacheStats GetCompiledScanCacheStats();
 
-/// Drops every cached scan (tests; also frees memory after a corpus churn).
-void ClearCompiledScanCache();
-
-/// One request's worth of compiled LF execution: resolves every distinct
-/// (doc, sentence) referenced by the candidate batch to its automaton scan
-/// — through a process-wide cache keyed by (program, corpus identity), so a
-/// corpus served repeatedly is scanned once, not once per request — then
-/// answers per-(row, LF) votes with range checks over the precomputed hit
-/// stream. The cache key uses Corpus::identity(), which is bumped by every
-/// mutable corpus access, so stale or address-aliased text can never be
-/// served; evictions are LRU under a fixed byte budget. Construction is
-/// serial and deterministic; Eval() is const and safe to call from any
-/// number of threads concurrently — which is how the appliers use it
-/// (build once, evaluate rows in parallel).
+/// One request's worth of compiled LF execution: scans every distinct
+/// (doc, sentence) referenced by the candidate batch once through the
+/// program's shared automata, into storage the batch owns, then answers
+/// per-(row, LF) votes with range checks over that hit stream. Document
+/// scope ORs the batch's own scans with one scan of each touched
+/// document's other sentences. Nothing outlives the batch except this
+/// thread's token memo, keyed by CompiledLfProgram::id(), which maps raw
+/// tokens to the program's symbols and so never describes corpus text.
+/// Construction is serial and deterministic; Eval() is const and safe to
+/// call from any number of threads concurrently — which is how the
+/// appliers use it (build once, evaluate rows in parallel).
 ///
 /// Bitwise contract: Eval(slot, i) returns exactly what the interpreted
 /// lambda of the LF backing `slot` would return on row i.
@@ -75,8 +58,8 @@ class CompiledLfBatch {
   static constexpr uint32_t kNoToken = 0xffffffffu;
 
   struct RowCtx {
-    uint32_t scan = 0;           // index into scans_
-    int32_t doc_index = -1;      // index into doc_bits_, or -1
+    uint32_t scan = 0;           // index of the row's sentence scan
+    int32_t doc_index = -1;      // index of the row's doc_bits_ block, or -1
     uint32_t first_start = 0;    // positionally-first span
     uint32_t first_end = 0;
     uint32_t second_start = 0;   // positionally-second span
@@ -90,24 +73,21 @@ class CompiledLfBatch {
     bool span1_first = true;
   };
 
-  /// Symbols of one distinct raw token, resolved once per batch.
-  struct TokenSymbols {
-    uint32_t lower_encoded = CompiledLfProgram::kNoSymbol;
-    uint32_t stem_encoded = CompiledLfProgram::kNoSymbol;
-  };
-  using TokenMemo = std::unordered_map<std::string_view, TokenSymbols>;
-
-  void ScanSentence(const Sentence& sentence, TokenMemo* memo,
-                    LfSentenceScan* scan) const;
-  bool HasHitIn(const LfSentenceScan& scan, uint32_t slot, uint32_t lo,
+  bool HasHitIn(uint32_t scan, uint32_t slot, uint32_t lo,
                 uint32_t hi) const;
 
   std::shared_ptr<const CompiledLfProgram> program_;
   size_t slot_words_ = 0;  // u64 words per any-bits block
-  std::vector<std::shared_ptr<const LfSentenceScan>> scans_;
-  /// Per-doc "any hit in this document" bitsets (document scope), each
-  /// slot_words_ u64 words.
-  std::vector<std::shared_ptr<const std::vector<uint64_t>>> doc_bits_;
+  /// Scan k's hits for slot s are hits_[hit_offsets_[k * (slots + 1) + s]
+  /// .. hit_offsets_[k * (slots + 1) + s + 1]), each packed (a << 32) | b —
+  /// the half-open token interval [a, b] the match covers — sorted
+  /// ascending (by a, then b).
+  std::vector<uint32_t> hit_offsets_;
+  std::vector<uint64_t> hits_;
+  /// "Any hit" bits, slot_words_ u64 words per block: one block per scan
+  /// (sentence scope) and one per touched document (document scope).
+  std::vector<uint64_t> any_bits_;
+  std::vector<uint64_t> doc_bits_;
   std::vector<RowCtx> rows_;
 };
 

@@ -1,6 +1,7 @@
 #include "lf/compiled/program.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <list>
 #include <mutex>
@@ -97,6 +98,28 @@ bool ValidAutomaton(const FlatAutomaton& ac, size_t num_patterns) {
   for (uint32_t pattern : ac.out_patterns) {
     if (pattern >= num_patterns) return false;
   }
+  // Every node must be reachable from the root and fail strictly closer to
+  // it: otherwise a failure chain can cycle (Step() would never return) or
+  // Densify() would read a row it has not built yet.
+  constexpr uint32_t kUnreached = 0xffffffffu;
+  std::vector<uint32_t> depth(n, kUnreached);
+  std::vector<uint32_t> order{0};
+  depth[0] = 0;
+  for (size_t k = 0; k < order.size(); ++k) {
+    uint32_t node = order[k];
+    for (uint32_t e = ac.edge_offsets[node]; e < ac.edge_offsets[node + 1];
+         ++e) {
+      uint32_t target = ac.edge_targets[e];
+      if (depth[target] == kUnreached) {
+        depth[target] = depth[node] + 1;
+        order.push_back(target);
+      }
+    }
+  }
+  if (order.size() != n) return false;
+  for (size_t i = 1; i < n; ++i) {
+    if (depth[ac.fail[i]] >= depth[i]) return false;
+  }
   return true;
 }
 
@@ -126,6 +149,11 @@ bool ParseLiteralAlternation(std::string_view regex,
   out.push_back(std::move(current));
   *branches = std::move(out);
   return true;
+}
+
+uint64_t NextProgramId() {
+  static std::atomic<uint64_t> next_id{1};
+  return next_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 class Interner {
@@ -160,6 +188,39 @@ uint32_t FlatAutomaton::Step(uint32_t state, uint32_t symbol) const {
     }
     if (state == 0) return 0;
     state = fail[state];
+  }
+}
+
+void FlatAutomaton::Densify() {
+  dense_next.clear();
+  width = 0;
+  uint64_t symbols = 0;
+  for (uint32_t symbol : edge_symbols) {
+    symbols = std::max<uint64_t>(symbols, uint64_t{symbol} + 1);
+  }
+  if (symbols == 0 || num_nodes() * symbols > kMaxDenseEntries) return;
+  width = static_cast<uint32_t>(symbols);
+  dense_next.assign(num_nodes() * width, 0);
+  // Breadth-first, so a node's failure row is complete before its own:
+  // a node inherits its failure target's row, then overrides its edges.
+  std::vector<bool> seen(num_nodes(), false);
+  std::vector<uint32_t> order{0};
+  seen[0] = true;
+  for (size_t k = 0; k < order.size(); ++k) {
+    uint32_t node = order[k];
+    uint32_t* row = dense_next.data() + size_t{node} * width;
+    if (node != 0) {
+      const uint32_t* inherited =
+          dense_next.data() + size_t{fail[node]} * width;
+      std::copy(inherited, inherited + width, row);
+    }
+    for (uint32_t e = edge_offsets[node]; e < edge_offsets[node + 1]; ++e) {
+      row[edge_symbols[e]] = edge_targets[e];
+      if (!seen[edge_targets[e]]) {
+        seen[edge_targets[e]] = true;
+        order.push_back(edge_targets[e]);
+      }
+    }
   }
 }
 
@@ -226,6 +287,8 @@ FlatAutomaton AutomatonBuilder::Build() const {
   return ac;
 }
 
+CompiledLfProgram::CompiledLfProgram() : id_(NextProgramId()) {}
+
 void CompiledLfProgram::Finalize() {
   slot_of_lf.assign(num_lfs, -1);
   for (size_t slot = 0; slot < entries.size(); ++slot) {
@@ -245,6 +308,8 @@ void CompiledLfProgram::Finalize() {
   for (size_t i = 0; i < symbols.size(); ++i) {
     symbol_index_.emplace(symbols[i], static_cast<uint32_t>(i));
   }
+  token_ac.Densify();
+  byte_ac.Densify();
 }
 
 std::string CompiledLfProgram::Encode() const {

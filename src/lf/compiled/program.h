@@ -36,8 +36,30 @@ struct FlatAutomaton {
   size_t num_nodes() const { return fail.size(); }
 
   /// One transition: follows failure links on miss; root misses stay at
-  /// root. Never allocates.
+  /// root. Never allocates. The builder's path, and Next()'s fallback.
   uint32_t Step(uint32_t state, uint32_t symbol) const;
+
+  // --- Derived by Densify(); never serialized ---
+  /// Upper bound on dense_next's size, in entries: an automaton whose
+  /// num_nodes() * width exceeds it keeps stepping through Step().
+  static constexpr size_t kMaxDenseEntries = size_t{1} << 18;
+  /// dense_next[state * width + symbol] == Step(state, symbol) for every
+  /// symbol below `width`, one more than the largest edge symbol. A larger
+  /// symbol has no edge anywhere, so it steps to the root.
+  std::vector<uint32_t> dense_next;
+  uint32_t width = 0;
+
+  /// Builds dense_next, or leaves it empty above kMaxDenseEntries. Requires
+  /// every node to be reachable from the root and every failure link to
+  /// point strictly closer to the root (breadth-first), which Build()
+  /// guarantees and Decode() validates.
+  void Densify();
+
+  /// Step() through the dense table when there is one.
+  uint32_t Next(uint32_t state, uint32_t symbol) const {
+    if (dense_next.empty()) return Step(state, symbol);
+    return symbol < width ? dense_next[size_t{state} * width + symbol] : 0;
+  }
 };
 
 /// Deterministic builder: patterns added in the same order always produce
@@ -90,7 +112,7 @@ class CompiledLfProgram {
  public:
   static constexpr uint32_t kNoSymbol = 0xffffffffu;
 
-  CompiledLfProgram() = default;
+  CompiledLfProgram();
   CompiledLfProgram(const CompiledLfProgram&) = delete;
   CompiledLfProgram& operator=(const CompiledLfProgram&) = delete;
 
@@ -118,14 +140,19 @@ class CompiledLfProgram {
 
   size_t num_compiled() const { return entries.size(); }
 
+  /// Process-unique and never reused, unlike the program's address: keys
+  /// state derived from this program that outlives it (per-thread memos).
+  uint64_t id() const { return id_; }
+
   /// Interned id of a token string, or kNoSymbol.
   uint32_t LookupSymbol(std::string_view token) const {
     auto it = symbol_index_.find(token);
     return it == symbol_index_.end() ? kNoSymbol : it->second;
   }
 
-  /// Builds the derived members. Must be called exactly once, after the
-  /// serialized state stops changing.
+  /// Builds the derived members, the automata's dense tables included.
+  /// Must be called exactly once, after the serialized state stops
+  /// changing.
   void Finalize();
 
   /// Deterministic wire encoding (the LFCP section payload). Two programs
@@ -139,6 +166,7 @@ class CompiledLfProgram {
       std::string_view payload);
 
  private:
+  const uint64_t id_;
   // Views into `symbols`; safe because the program is immutable after
   // Finalize() and non-copyable.
   std::unordered_map<std::string_view, uint32_t> symbol_index_;

@@ -7,13 +7,17 @@
 // repo. These tests pin that contract over all four §4.1.1 relation tasks,
 // the unary radiology task, hand-built degenerate-token corpora, the
 // snapshot-loaded (Decode'd) program path, the IncrementalApplier cache,
-// and a many-threads shared-applier hammer (run under TSan in CI).
+// and a many-threads shared-applier hammer (run under TSan in CI). It also
+// pins the kernel's pieces: dense automaton tables against Step(), hostile
+// automata at Decode, and the per-thread token memo across programs.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -292,6 +296,138 @@ TEST(CompiledProgramTest, ProgramMembershipMismatchDetected) {
 }
 
 // ---------------------------------------------------------------------------
+// Dense automaton tables: Next() must step exactly like Step(), and hostile
+// automata must neither hang nor allocate past the dense-table bound.
+// ---------------------------------------------------------------------------
+
+/// Every state and every symbol below width + 1 (one past the table, where
+/// no edge exists anywhere): the dense step equals the binary-search step.
+void ExpectDenseMatchesStep(const FlatAutomaton& ac) {
+  ASSERT_FALSE(ac.dense_next.empty());
+  ASSERT_EQ(ac.dense_next.size(), ac.num_nodes() * ac.width);
+  for (uint32_t state = 0; state < ac.num_nodes(); ++state) {
+    for (uint32_t symbol = 0; symbol <= ac.width; ++symbol) {
+      ASSERT_EQ(ac.Next(state, symbol), ac.Step(state, symbol))
+          << "state " << state << " symbol " << symbol;
+    }
+  }
+}
+
+TEST(CompiledAutomatonTest, DenseTablesMatchStepOnEveryTaskProgram) {
+  auto cdr = MakeCdrTask(42, 0.05);
+  auto spouses = MakeSpousesTask(7, 0.05);
+  auto ehr = MakeEhrTask(11, 0.05);
+  auto chem = MakeChemTask(23, 0.05);
+  RadiologyOptions options;
+  options.num_reports = 50;
+  auto radiology = MakeRadiologyTask(options);
+  ASSERT_TRUE(cdr.ok() && spouses.ok() && ehr.ok() && chem.ok() &&
+              radiology.ok());
+  auto decoded = CompiledLfProgram::Decode(CompileLfSet(cdr->lfs)->Encode());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  std::vector<std::pair<std::string, std::shared_ptr<const CompiledLfProgram>>>
+      programs = {{"cdr", CompileLfSet(cdr->lfs)},
+                  {"spouses", CompileLfSet(spouses->lfs)},
+                  {"ehr", CompileLfSet(ehr->lfs)},
+                  {"chem", CompileLfSet(chem->lfs)},
+                  {"radiology", CompileLfSet(radiology->lfs)},
+                  {"cdr decoded", *decoded}};
+  for (const auto& [name, program] : programs) {
+    SCOPED_TRACE(name);
+    ExpectDenseMatchesStep(program->token_ac);
+    if (!program->byte_pattern_slots.empty()) {
+      ExpectDenseMatchesStep(program->byte_ac);
+    }
+  }
+}
+
+TEST(CompiledAutomatonTest, DenseTablesMatchStepOnRandomPatternSets) {
+  std::mt19937 rng(20171);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial=" + std::to_string(trial));
+    // Small alphabets force shared prefixes and long failure chains; the
+    // occasional sparse large symbol widens the table.
+    uint32_t alphabet = 2 + rng() % 6;
+    AutomatonBuilder builder;
+    int num_patterns = 1 + static_cast<int>(rng() % 30);
+    for (int k = 0; k < num_patterns; ++k) {
+      std::vector<uint32_t> pattern(1 + rng() % 6);
+      for (uint32_t& symbol : pattern) {
+        symbol = rng() % 10 == 0 ? 100 + rng() % 50 : rng() % alphabet;
+      }
+      builder.AddPattern(pattern);
+    }
+    FlatAutomaton ac = builder.Build();
+    ac.Densify();
+    ExpectDenseMatchesStep(ac);
+  }
+}
+
+/// A one-column program over a hand-set byte automaton; Encode() needs no
+/// Finalize(), so any automaton shape can be put on the wire.
+std::string EncodeByteProgram(const FlatAutomaton& byte_ac,
+                              size_t num_patterns) {
+  CompiledLfProgram program;
+  program.num_lfs = 1;
+  CompiledLfEntry entry;
+  entry.kind = LfSpecKind::kRegexBetween;
+  entry.label = 1;
+  program.entries.push_back(entry);
+  program.token_ac = AutomatonBuilder().Build();
+  program.byte_ac = byte_ac;
+  program.byte_pattern_slots.assign(num_patterns, 0);
+  program.byte_pattern_lengths.assign(num_patterns, 1);
+  return program.Encode();
+}
+
+TEST(CompiledAutomatonTest, DecodedAutomatonOverDenseBoundFallsBackToStep) {
+  // 1200 three-byte patterns over all 256 byte values: a few thousand nodes
+  // times width 256 is well past FlatAutomaton::kMaxDenseEntries.
+  std::mt19937 rng(7);
+  AutomatonBuilder builder;
+  constexpr size_t kPatterns = 1200;
+  for (size_t k = 0; k < kPatterns; ++k) {
+    builder.AddPattern({static_cast<uint32_t>(rng() % 256),
+                        static_cast<uint32_t>(rng() % 256), 255u});
+  }
+  auto decoded =
+      CompiledLfProgram::Decode(EncodeByteProgram(builder.Build(), kPatterns));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const FlatAutomaton& ac = (*decoded)->byte_ac;
+  ASSERT_GT(ac.num_nodes() * 256, FlatAutomaton::kMaxDenseEntries);
+  EXPECT_EQ(ac.dense_next.capacity(), 0u);
+  EXPECT_EQ(ac.width, 0u);
+  for (uint32_t state = 0; state < ac.num_nodes(); state += 7) {
+    for (uint32_t symbol = 0; symbol <= 257; ++symbol) {
+      ASSERT_EQ(ac.Next(state, symbol), ac.Step(state, symbol));
+    }
+  }
+}
+
+TEST(CompiledAutomatonTest, DecodeRejectsCyclicOrUnreachableFailureLinks) {
+  // root -a-> 1 -b-> 2, with valid failure links, then two corruptions.
+  AutomatonBuilder builder;
+  builder.AddPattern({'a', 'b'});
+  FlatAutomaton valid = builder.Build();
+  ASSERT_EQ(valid.num_nodes(), 3u);
+  ASSERT_TRUE(CompiledLfProgram::Decode(EncodeByteProgram(valid, 1)).ok());
+
+  // Failure links 1 -> 2 -> 1: Step() from either node on a missing symbol
+  // would chase the cycle forever.
+  FlatAutomaton cyclic = valid;
+  cyclic.fail[1] = 2;
+  cyclic.fail[2] = 1;
+  // Node 2 loses its only incoming edge: no text can reach it.
+  FlatAutomaton unreachable = valid;
+  unreachable.edge_targets[1] = 1;
+  for (const FlatAutomaton* hostile : {&cyclic, &unreachable}) {
+    auto decoded = CompiledLfProgram::Decode(EncodeByteProgram(*hostile, 1));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Snapshot-provided programs: the applier uses a matching Decode'd program
 // and falls back to a live compile on mismatch — same bytes either way.
 // ---------------------------------------------------------------------------
@@ -399,9 +535,84 @@ TEST(CompiledServingTest, RouterServesCompiledIdenticalToInterpreted) {
 }
 
 // ---------------------------------------------------------------------------
+// The per-thread token memo persists across batches, keyed by program id:
+// programs with different symbol tables on one thread must never read each
+// other's symbols, even when a new program lands at a freed one's address.
+// ---------------------------------------------------------------------------
+
+/// Two keyword LFs with the given words; swapping the words swaps the
+/// programs' interned symbol ids.
+LabelingFunctionSet TwoKeywordLfs(const std::string& first,
+                                  const std::string& second) {
+  LabelingFunctionSet lfs;
+  lfs.Add(MakeKeywordBetweenLF("kw_" + first, {first}, 1));
+  lfs.Add(MakeSentenceKeywordLF("sent_" + second, {second}, -1));
+  return lfs;
+}
+
+TEST(CompiledTokenMemoTest, AlternatingAndReplacedProgramsStayBitwise) {
+  auto task = MakeCdrTask(42, 0.05);
+  ASSERT_TRUE(task.ok()) << task.status().ToString();
+  LabelingFunctionSet b = TwoKeywordLfs("causes", "treats");
+  LabelingFunctionSet c = TwoKeywordLfs("treats", "causes");
+  LabelMatrix interpreted_cdr =
+      MustApply({.num_threads = 1, .use_compiled = false}, task->lfs,
+                task->corpus, task->candidates);
+  LabelMatrix interpreted_b = MustApply(
+      {.num_threads = 1, .use_compiled = false}, b, task->corpus,
+      task->candidates);
+  LabelMatrix interpreted_c = MustApply(
+      {.num_threads = 1, .use_compiled = false}, c, task->corpus,
+      task->candidates);
+  ASSERT_FALSE(interpreted_b.entries().empty());
+  ASSERT_FALSE(interpreted_c.entries().empty());
+
+  // One thread (the batch scans on its constructing thread) alternates
+  // between two programs with different symbol tables.
+  auto program_cdr = CompileLfSet(task->lfs);
+  auto program_b = CompileLfSet(b);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    ExpectSameMatrix(
+        MustApply({.num_threads = 1,
+                   .use_compiled = true,
+                   .compiled_program = program_cdr},
+                  task->lfs, task->corpus, task->candidates),
+        interpreted_cdr);
+    ExpectSameMatrix(MustApply({.num_threads = 1,
+                                .use_compiled = true,
+                                .compiled_program = program_b},
+                               b, task->corpus, task->candidates),
+                     interpreted_b);
+  }
+
+  // Free B and compile C, whose symbol table has B's shape with the ids
+  // swapped; the allocator may hand C B's address.
+  const uint64_t id_b = program_b->id();
+  program_b.reset();
+  auto program_c = CompileLfSet(c);
+  EXPECT_NE(program_c->id(), id_b);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("replaced round=" + std::to_string(round));
+    ExpectSameMatrix(MustApply({.num_threads = 1,
+                                .use_compiled = true,
+                                .compiled_program = program_c},
+                               c, task->corpus, task->candidates),
+                     interpreted_c);
+    ExpectSameMatrix(
+        MustApply({.num_threads = 1,
+                   .use_compiled = true,
+                   .compiled_program = program_cdr},
+                  task->lfs, task->corpus, task->candidates),
+        interpreted_cdr);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Concurrency: one applier, one shared program, many requester threads.
 // Run under TSan in CI (the compiled engine shares the immutable program
-// and per-corpus scan state across the pool's workers).
+// and each batch's scans across the pool's workers, and every requester
+// thread scans through its own token memo).
 // ---------------------------------------------------------------------------
 
 TEST(CompiledConcurrencyTest, SharedApplierHammerStaysBitwise) {
@@ -437,31 +648,43 @@ TEST(CompiledConcurrencyTest, SharedApplierHammerStaysBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide scan cache: repeat applies must reuse scans, and corpus
-// mutation (identity bump) must never serve stale ones.
+// Scans live in the request: every apply scans each distinct sentence once,
+// and corpus mutation (identity bump) must never serve stale results.
 // ---------------------------------------------------------------------------
 
-TEST(CompiledScanCacheTest, RepeatAppliesHitCacheAndStayBitwise) {
+TEST(CompiledScanCacheTest, RepeatAppliesScanEachSentenceOnceAndStayBitwise) {
   auto task = MakeCdrTask(101, 0.08);
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   LabelMatrix baseline =
       MustApply({.num_threads = 1, .use_compiled = false}, task->lfs,
                 task->corpus, task->candidates);
 
-  LFApplier compiled({.num_threads = 1, .use_compiled = true});
-  auto first = compiled.Apply(task->lfs, task->corpus, task->candidates);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  CompiledScanCacheStats after_first = GetCompiledScanCacheStats();
-  auto second = compiled.Apply(task->lfs, task->corpus, task->candidates);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  CompiledScanCacheStats after_second = GetCompiledScanCacheStats();
+  // The sentences a batch over every candidate must scan: each distinct
+  // candidate sentence, plus every sentence of a touched document when a
+  // document-scope LF needs the document's other sentences too.
+  std::set<std::pair<size_t, size_t>> sentences;
+  const bool doc_scope = GetOrCompileProgram(task->lfs)->has_doc_scope;
+  for (const Candidate& c : task->candidates) {
+    sentences.emplace(c.span1.doc, c.span1.sentence);
+    if (!doc_scope) continue;
+    const Document& doc = task->corpus.document(c.span1.doc);
+    for (size_t s = 0; s < doc.sentences.size(); ++s) {
+      sentences.emplace(c.span1.doc, s);
+    }
+  }
 
-  // Second pass over the same (program, corpus) is pure lookup: every
-  // sentence hits, nothing new is scanned.
-  EXPECT_GT(after_second.hits, after_first.hits);
-  EXPECT_EQ(after_second.misses, after_first.misses);
-  ExpectSameMatrix(*first, baseline);
-  ExpectSameMatrix(*second, baseline);
+  LFApplier compiled({.num_threads = 1, .use_compiled = true});
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass=" + std::to_string(pass));
+    CompiledScanCacheStats before = GetCompiledScanCacheStats();
+    auto matrix = compiled.Apply(task->lfs, task->corpus, task->candidates);
+    ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+    CompiledScanCacheStats after = GetCompiledScanCacheStats();
+    EXPECT_EQ(after.misses - before.misses, sentences.size());
+    EXPECT_EQ(after.hits, 0u);
+    EXPECT_EQ(after.evictions, 0u);
+    ExpectSameMatrix(*matrix, baseline);
+  }
 }
 
 TEST(CompiledScanCacheTest, MutatedCorpusGetsFreshScans) {
